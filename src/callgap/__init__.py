@@ -1,89 +1,23 @@
 """Missing-method-call detection by majority-rule deviance over type-usages."""
 
-from .corpus import (
-    Corpus,
-    CorpusFormatError,
-    TypeUsage,
-    load_corpus,
-    parse_corpus,
-    parse_corpus_jsonl,
-    write_corpus,
-)
-from .evaluation import (
-    DegradedQuery,
-    EvalConfig,
-    EvalReport,
-    SyntheticSpec,
-    brute_force_oracle,
-    evaluate,
-    gen_synthetic,
-    generate_degraded,
-    oracle_similarity,
-    run_query,
-    sweep_k,
-    sweep_threshold,
-)
-from .prediction import (
-    PredictionConfig,
-    Recommendation,
-    candidate_calls,
-    likelihoods,
-    missing,
-)
-from .scoring import (
-    DistributionStats,
-    ScoredUsage,
-    distribution_stats,
-    histogram,
-    s_score,
-    score_all,
-)
-from .similarity import (
-    Query,
-    SimilarityParams,
-    SimilarityResult,
-    almost_similar,
-    exactly_similar,
-    is_redundant,
-    similarity_of,
-)
+from .corpus import Corpus, CorpusFormatError, TypeUsage, load_corpus
+from .evaluation import EvalConfig, evaluate
+from .prediction import PredictionConfig, likelihoods
+from .scoring import score_all
+from .similarity import Query, SimilarityParams, almost_similar, exactly_similar
 
 __all__ = [
     "Corpus",
     "CorpusFormatError",
-    "DegradedQuery",
-    "DistributionStats",
     "EvalConfig",
-    "EvalReport",
     "PredictionConfig",
     "Query",
-    "Recommendation",
-    "ScoredUsage",
     "SimilarityParams",
-    "SimilarityResult",
-    "SyntheticSpec",
     "TypeUsage",
     "almost_similar",
-    "brute_force_oracle",
-    "candidate_calls",
-    "distribution_stats",
     "evaluate",
     "exactly_similar",
-    "gen_synthetic",
-    "generate_degraded",
-    "histogram",
-    "is_redundant",
     "likelihoods",
     "load_corpus",
-    "missing",
-    "oracle_similarity",
-    "parse_corpus",
-    "parse_corpus_jsonl",
-    "run_query",
-    "s_score",
     "score_all",
-    "similarity_of",
-    "sweep_k",
-    "sweep_threshold",
-    "write_corpus",
 ]

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corpus import Corpus, CorpusFormatError, load_corpus, write_corpus
+from .corpus import Corpus, load_corpus, write_corpus
 from .evaluation import (
     REPORT_CSV_HEADER,
     EvalConfig,
     SyntheticSpec,
     evaluate,
+    format_metric as _fmt,
     gen_synthetic,
     report_csv_row,
     sweep_k,
@@ -24,32 +25,28 @@ from .evaluation import (
 )
 from .prediction import PredictionConfig, likelihoods, filter_recommendations
 from .scoring import (
+    as_bin_width,
     as_fraction,
     distribution_stats,
     histogram,
     s_score,
     score_all,
 )
-from .similarity import Query, SimilarityParams, almost_similar, exactly_similar
+from .similarity import Query, SimilarityParams, query_for, query_similarity
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_INPUT = 2
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.6g}"
-
-
-def _load(path: str, out) -> Corpus | None:
+def _load(path: str) -> Corpus | None:
     try:
         return load_corpus(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    except (CorpusFormatError, ValueError) as exc:
+    except ValueError as exc:  # CorpusFormatError, or a Corpus invariant
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+    return None
 
 
 def _sim_params(args) -> SimilarityParams:
@@ -57,11 +54,11 @@ def _sim_params(args) -> SimilarityParams:
 
 
 def _pred_config(args) -> PredictionConfig:
-    return PredictionConfig(as_fraction(args.threshold), strict_comparison=not args.ge)
+    return PredictionConfig(args.threshold, strict_comparison=not args.ge)
 
 
 def cmd_stats(args, out) -> int:
-    corpus = _load(args.corpus, out)
+    corpus = _load(args.corpus)
     if corpus is None:
         return EXIT_INPUT
     if len(corpus) == 0:
@@ -71,8 +68,8 @@ def cmd_stats(args, out) -> int:
     stats = distribution_stats(scores, corpus)
     print("metric,value", file=out)
     print(f"n_usages,{stats.n_usages}", file=out)
-    print(f"n_types,{corpus.n_types()}", file=out)
-    print(f"n_contexts,{corpus.n_contexts()}", file=out)
+    print(f"n_types,{len(corpus.type_index)}", file=out)
+    print(f"n_contexts,{len({u.context for u in corpus})}", file=out)
     print(f"n_redundant,{stats.n_redundant}", file=out)
     print(f"frac_redundant,{_fmt(stats.frac_redundant)}", file=out)
     print(f"median_s,{_fmt(stats.median_s)}", file=out)
@@ -82,30 +79,27 @@ def cmd_stats(args, out) -> int:
     print(f"frac_above_0_9,{_fmt(stats.frac_above_0_9)}", file=out)
     print("", file=out)
     print("bin_start,bin_end,count", file=out)
-    for lo, hi, count in histogram(scores, as_fraction(args.hist_width)):
+    for lo, hi, count in histogram(scores, args.hist_width):
         print(f"{_fmt(lo)},{_fmt(hi)},{count}", file=out)
     return EXIT_OK
 
 
 def cmd_score(args, out) -> int:
-    corpus = _load(args.corpus, out)
+    corpus = _load(args.corpus)
     if corpus is None:
         return EXIT_INPUT
     p = _sim_params(args)
     cfg = _pred_config(args)
-    min_score = as_fraction(args.min_score)
     scores = score_all(corpus, p)
-    rows = [s for s in scores if s.s_score >= min_score]
+    rows = [s for s in scores if s.s_score >= args.min_score]
     if args.top is not None:
         rows = rows[: args.top]
     human = args.format == "human"
-    if args.format == "csv":
+    if not human:
         print("id,type,context,origin,score,e,a,recommendations", file=out)
     for s in rows:
         u = corpus.get(s.id)
-        q = Query(u.type_name, u.context, u.calls, exclude_id=u.id)
-        a_ids = almost_similar(q, corpus, p)
-        recs = filter_recommendations(likelihoods(q, a_ids, corpus), cfg)
+        recs = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
         if human:
             origin = f"  [{u.origin}]" if u.origin else ""
             print(
@@ -114,7 +108,7 @@ def cmd_score(args, out) -> int:
             )
             for r in recs:
                 print(
-                    f"    missing {r.method}? {r.support} of {len(a_ids)} similar "
+                    f"    missing {r.method}? {r.support} of {s.a_count} similar "
                     f"usages also call it (likelihood {_fmt(r.likelihood)})",
                     file=out,
                 )
@@ -129,25 +123,24 @@ def cmd_score(args, out) -> int:
 
 
 def cmd_predict(args, out) -> int:
-    corpus = _load(args.corpus, out)
+    corpus = _load(args.corpus)
     if corpus is None:
         return EXIT_INPUT
     p = _sim_params(args)
     cfg = _pred_config(args)
     calls = frozenset(c.strip() for c in (args.calls or "").split(",") if c.strip())
     q = Query(args.type, args.context, calls)
-    e = exactly_similar(q, corpus, p)
-    a_ids = almost_similar(q, corpus, p)
-    score = s_score(e, len(a_ids))
-    print(f"e_count: {e}", file=out)
+    sim = query_similarity(q, corpus, p)
+    a_ids = sim.a_ids
+    print(f"e_count: {sim.e_count}", file=out)
     print(f"a_count: {len(a_ids)}", file=out)
-    print(f"s_score: {_fmt(score)}", file=out)
+    print(f"s_score: {_fmt(s_score(sim.e_count, len(a_ids)))}", file=out)
     if not a_ids:
         print("no almost-similar usages", file=out)
         return EXIT_OK
     recs = filter_recommendations(likelihoods(q, a_ids, corpus), cfg)
     cmp = ">=" if args.ge else ">"
-    print(f"missing calls (likelihood {cmp} {_fmt(as_fraction(args.threshold))}):", file=out)
+    print(f"missing calls (likelihood {cmp} {_fmt(cfg.threshold)}):", file=out)
     for r in recs:
         print(
             f"  {r.method}  likelihood={_fmt(r.likelihood)}  "
@@ -158,7 +151,7 @@ def cmd_predict(args, out) -> int:
 
 
 def cmd_eval(args, out) -> int:
-    corpus = _load(args.corpus, out)
+    corpus = _load(args.corpus)
     if corpus is None:
         return EXIT_INPUT
     cfg = EvalConfig(
@@ -169,22 +162,16 @@ def cmd_eval(args, out) -> int:
     print(REPORT_CSV_HEADER, file=out)
     try:
         if args.sweep_t:
-            ts = [as_fraction(t) for t in args.sweep_t.split(",")]
-            for t, report in sweep_threshold(corpus, cfg, ts):
-                print(report_csv_row(t, args.k, args.include_seed, not args.no_context, report), file=out)
+            rows = [(t, args.k, r) for t, r in sweep_threshold(corpus, cfg, args.sweep_t)]
         elif args.sweep_k:
-            ks = [int(k) for k in args.sweep_k.split(",")]
-            for k, report in sweep_k(corpus, cfg, ks):
-                print(report_csv_row(cfg.prediction.threshold, k, args.include_seed, not args.no_context, report), file=out)
+            rows = [(cfg.prediction.threshold, k, r) for k, r in sweep_k(corpus, cfg, args.sweep_k)]
         else:
-            report = evaluate(corpus, cfg)
-            print(
-                report_csv_row(cfg.prediction.threshold, args.k, args.include_seed, not args.no_context, report),
-                file=out,
-            )
+            rows = [(cfg.prediction.threshold, args.k, evaluate(corpus, cfg))]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    for t, k, report in rows:
+        print(report_csv_row(t, k, args.include_seed, not args.no_context, report), file=out)
     return EXIT_OK
 
 
@@ -214,13 +201,47 @@ def cmd_gen(args, out) -> int:
     return EXIT_OK
 
 
+def _flag(convert):
+    """argparse ``type=`` converter: a value ``convert`` rejects becomes a
+    usage error (exit 2) naming the flag, raised before any corpus is read."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+    return parse
+
+
+def _k(text: str) -> int:
+    return SimilarityParams(k=int(text)).k
+
+
+def _threshold(text: str):
+    return PredictionConfig(as_fraction(text)).threshold
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
+
+
+def _each(convert):
+    """Converter for a comma-separated list of ``convert`` values."""
+    return lambda text: [convert(v) for v in text.split(",")]
+
+
 def _add_similarity_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=1, help="extra calls admitted into almost-similarity")
+    p.add_argument("--k", type=_flag(_k), default=1, help="extra calls admitted into almost-similarity")
     p.add_argument("--no-context", action="store_true", help="drop the context-equality condition")
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-t", "--threshold", default="0.9", help="likelihood threshold (default 0.9)")
+    p.add_argument("-t", "--threshold", type=_flag(_threshold), default="0.9",
+                   help="likelihood threshold (default 0.9)")
     p.add_argument("--ge", action="store_true", help="filter with >= instead of strict >")
 
 
@@ -234,15 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus counts and score distribution (CSV)")
     p.add_argument("corpus")
     _add_similarity_flags(p)
-    p.add_argument("--hist-width", default="0.05", help="histogram bin width")
+    p.add_argument("--hist-width", type=_flag(as_bin_width), default="0.05", help="histogram bin width")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("score", help="ranked deviance warnings with recommendations")
     p.add_argument("corpus")
     _add_similarity_flags(p)
     _add_threshold_flags(p)
-    p.add_argument("--top", type=int, default=None, help="keep only the N highest-scored usages")
-    p.add_argument("--min-score", default="0", help="drop usages scoring below this")
+    p.add_argument("--top", type=_flag(_count), default=None, help="keep only the N highest-scored usages")
+    p.add_argument("--min-score", type=_flag(as_fraction), default="0", help="drop usages scoring below this")
     p.add_argument("--format", choices=["csv", "human"], default="csv")
     p.set_defaults(func=cmd_score)
 
@@ -260,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_similarity_flags(p)
     _add_threshold_flags(p)
     p.add_argument("--include-seed", action="store_true", help="disable leave-one-out")
-    p.add_argument("--sweep-t", default=None, help="comma-separated thresholds to sweep")
-    p.add_argument("--sweep-k", default=None, help="comma-separated k values to sweep")
+    p.add_argument("--sweep-t", type=_flag(_each(_threshold)), default=None,
+                   help="comma-separated thresholds to sweep")
+    p.add_argument("--sweep-k", type=_flag(_each(_k)), default=None, help="comma-separated k values to sweep")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic corpus + ground truth")

@@ -75,100 +75,115 @@ class Corpus:
         """Ids of all usages with exactly this (type, context) pair."""
         return self.bucket_index.get((type_name, context), [])
 
-    def n_types(self) -> int:
-        return len(self.type_index)
 
-    def n_contexts(self) -> int:
-        return len({u.context for u in self.usages})
+def _parse_records(text: str, fields_of) -> Corpus:
+    """The record loop both line formats share.
+
+    Lines starting with ``#`` and blank lines are skipped. ``fields_of(line,
+    lineno)`` splits a record line into (id, type, context, calls, origin)
+    strings, calls a list of strings. Every field is stripped; an empty id is
+    auto-assigned ``u<ordinal>`` in record order, empty call names are
+    dropped and duplicates collapse (calls form a set), an empty origin is
+    None.
+    """
+    usages: list[TypeUsage] = []
+    id_lines: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        uid, type_name, context, calls, origin = fields_of(line, lineno)
+        uid = uid.strip() or f"u{len(usages) + 1}"
+        type_name = type_name.strip()
+        context = context.strip()
+        if not type_name or not context:
+            raise CorpusFormatError(f"line {lineno}: empty type or context field")
+        if uid in id_lines:
+            raise CorpusFormatError(
+                f"line {lineno}: duplicate id {uid!r} (first seen on line {id_lines[uid]})"
+            )
+        id_lines[uid] = lineno
+        try:
+            calls = frozenset(filter(None, map(str.strip, calls)))
+        except TypeError:
+            raise CorpusFormatError(f"line {lineno}: call names must be strings") from None
+        usages.append(TypeUsage(uid, type_name, context, calls, origin.strip() or None))
+    return Corpus(usages)
 
 
-def _parse_calls(field: str) -> frozenset[str]:
-    return frozenset(c.strip() for c in field.split(",") if c.strip())
+def _tsv_fields(line: str, lineno: int):
+    fields = line.split("\t")
+    if len(fields) not in (4, 5):
+        raise CorpusFormatError(
+            f"line {lineno}: expected 4 or 5 tab-separated fields, got {len(fields)}"
+        )
+    origin = fields[4] if len(fields) == 5 else ""
+    return fields[0], fields[1], fields[2], fields[3].split(","), origin
+
+
+def _jsonl_fields(line: str, lineno: int):
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise CorpusFormatError(f"line {lineno}: expected a JSON object")
+    calls = rec.get("calls", [])
+    if not isinstance(calls, list):
+        raise CorpusFormatError(f"line {lineno}: 'calls' must be a list")
+    uid, type_name, context, origin = map(rec.get, ("id", "type", "context", "origin"))
+    return ("" if uid is None else str(uid), "" if type_name is None else str(type_name),
+            "" if context is None else str(context), calls,
+            "" if origin is None else str(origin))
 
 
 def parse_corpus(text: str) -> Corpus:
     """Parse the tab-separated corpus line format.
 
-    One record per line: ``id <TAB> type <TAB> context <TAB> calls [<TAB> origin]``.
-    Lines starting with ``#`` and blank lines are skipped. An empty id field is
-    auto-assigned ``u<ordinal>`` in line order. Duplicate call names collapse
-    (calls form a set).
+    One record per line: ``id <TAB> type <TAB> context <TAB> calls [<TAB> origin]``,
+    calls comma-separated.
     """
-    usages: list[TypeUsage] = []
-    id_lines: dict[str, int] = {}
-    ordinal = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (4, 5):
-            raise CorpusFormatError(
-                f"line {lineno}: expected 4 or 5 tab-separated fields, got {len(fields)}"
-            )
-        ordinal += 1
-        uid = fields[0].strip() or f"u{ordinal}"
-        type_name = fields[1].strip()
-        context = fields[2].strip()
-        if not type_name or not context:
-            raise CorpusFormatError(f"line {lineno}: empty type or context field")
-        if uid in id_lines:
-            raise CorpusFormatError(
-                f"line {lineno}: duplicate id {uid!r} (first seen on line {id_lines[uid]})"
-            )
-        id_lines[uid] = lineno
-        origin = fields[4].strip() if len(fields) == 5 and fields[4].strip() else None
-        usages.append(TypeUsage(uid, type_name, context, _parse_calls(fields[3]), origin))
-    return Corpus(usages)
+    return _parse_records(text, _tsv_fields)
 
 
 def parse_corpus_jsonl(text: str) -> Corpus:
     """Parse the JSON-lines mirror (keys: id, type, context, calls, origin)."""
-    usages: list[TypeUsage] = []
-    id_lines: dict[str, int] = {}
-    ordinal = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(rec, dict):
-            raise CorpusFormatError(f"line {lineno}: expected a JSON object")
-        ordinal += 1
-        uid = str(rec.get("id") or f"u{ordinal}")
-        type_name = str(rec.get("type", "")).strip()
-        context = str(rec.get("context", "")).strip()
-        if not type_name or not context:
-            raise CorpusFormatError(f"line {lineno}: empty type or context field")
-        if uid in id_lines:
-            raise CorpusFormatError(
-                f"line {lineno}: duplicate id {uid!r} (first seen on line {id_lines[uid]})"
-            )
-        id_lines[uid] = lineno
-        calls = rec.get("calls", [])
-        if not isinstance(calls, list):
-            raise CorpusFormatError(f"line {lineno}: 'calls' must be a list")
-        origin = rec.get("origin")
-        usages.append(
-            TypeUsage(uid, type_name, context,
-                      frozenset(str(c) for c in calls),
-                      str(origin) if origin else None)
-        )
-    return Corpus(usages)
+    return _parse_records(text, _jsonl_fields)
+
+
+def _writable(u: TypeUsage, field: str, value: str, separators: str = "\t") -> str:
+    """``value`` if the line format reads it back unchanged, else ValueError
+    naming the usage and the field."""
+    if not value or value != value.strip():
+        why = "it is empty or has surrounding whitespace"
+    elif value.splitlines() != [value]:  # the parser splits lines the same way
+        why = "it contains a line break"
+    elif any(c in separators for c in value):
+        why = f"it contains {next(c for c in value if c in separators)!r}"
+    else:
+        return value
+    raise ValueError(f"usage {u.id!r}: cannot write {field} {value!r}: {why}")
 
 
 def write_corpus(corpus: Corpus) -> str:
     """Serialize to the canonical line format, calls sorted lexicographically.
 
     Round trip preserves everything except call ordering within a record.
+    A usage the format cannot carry back unchanged raises ValueError: a field
+    that is empty (calls may be), padded with whitespace, or holds a tab or
+    line break, a call name holding a comma, or an id starting with ``#``
+    (it would read back as a comment).
     """
     lines = []
     for u in corpus:
-        fields = [u.id, u.type_name, u.context, ",".join(sorted(u.calls))]
-        if u.origin:
-            fields.append(u.origin)
+        if u.id.startswith("#"):
+            raise ValueError(
+                f"usage {u.id!r}: cannot write id {u.id!r}: it would read back as a comment"
+            )
+        fields = [_writable(u, "id", u.id), _writable(u, "type", u.type_name),
+                  _writable(u, "context", u.context),
+                  ",".join(sorted(_writable(u, "call", c, "\t,") for c in u.calls))]
+        if u.origin is not None:
+            fields.append(_writable(u, "origin", u.origin))
         lines.append("\t".join(fields))
     return "".join(line + "\n" for line in lines)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
 from .corpus import Corpus, TypeUsage
 from .prediction import (
@@ -30,12 +29,10 @@ from .similarity import (
     Query,
     SimilarityParams,
     SimilarityResult,
-    almost_similar,
-    exactly_similar,
     is_redundant,
+    query_for,
+    query_similarity,
 )
-
-SimilarityFn = Callable[[Query, Corpus, SimilarityParams], SimilarityResult]
 
 REPORT_CSV_HEADER = (
     "t,k,include_seed,use_context,N,answered,correct,false,precision,recall,"
@@ -103,11 +100,6 @@ class EvalReport:
     avg_missing: Fraction
 
 
-def default_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
-    """Indexed E/A computation (the production path)."""
-    return SimilarityResult(exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p)))
-
-
 def oracle_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
     """Literal definition-by-definition scan of the whole corpus, no index.
 
@@ -134,12 +126,7 @@ def brute_force_oracle(
     """Pairwise E/A for every in-corpus usage, by direct definition."""
     if len(corpus) > cap:
         raise ValueError(f"corpus size {len(corpus)} exceeds oracle cap {cap}")
-    return {
-        u.id: oracle_similarity(
-            Query(u.type_name, u.context, u.calls, exclude_id=u.id), corpus, p
-        )
-        for u in corpus
-    }
+    return {u.id: oracle_similarity(query_for(u), corpus, p) for u in corpus}
 
 
 def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:
@@ -157,11 +144,11 @@ def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:
 
 
 def _answer(
-    dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig, similarity_fn: SimilarityFn
+    dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig
 ) -> tuple[SimilarityResult, list[Recommendation]]:
     q = dq.query if not cfg.include_seed else replace(dq.query, exclude_id=None)
-    sim = similarity_fn(q, corpus, cfg.similarity)
-    return sim, likelihoods(q, list(sim.a_ids), corpus)
+    sim = query_similarity(q, corpus, cfg.similarity)
+    return sim, likelihoods(q, sim.a_ids, corpus)
 
 
 def _finalize(
@@ -189,13 +176,8 @@ def _finalize(
     )
 
 
-def run_query(
-    dq: DegradedQuery,
-    corpus: Corpus,
-    cfg: EvalConfig,
-    similarity_fn: SimilarityFn = default_similarity,
-) -> QueryOutcome:
-    sim, recs = _answer(dq, corpus, cfg, similarity_fn)
+def run_query(dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig) -> QueryOutcome:
+    sim, recs = _answer(dq, corpus, cfg)
     return _finalize(dq, sim, recs, cfg.prediction)
 
 
@@ -234,13 +216,9 @@ def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:
     )
 
 
-def evaluate(
-    corpus: Corpus,
-    cfg: EvalConfig,
-    similarity_fn: SimilarityFn = default_similarity,
-) -> EvalReport:
+def evaluate(corpus: Corpus, cfg: EvalConfig) -> EvalReport:
     queries = generate_degraded(corpus)
-    return aggregate([run_query(dq, corpus, cfg, similarity_fn) for dq in queries])
+    return aggregate([run_query(dq, corpus, cfg) for dq in queries])
 
 
 def sweep_threshold(
@@ -249,9 +227,7 @@ def sweep_threshold(
     """One report per threshold; similarity and likelihoods are computed once
     and re-filtered per threshold."""
     queries = generate_degraded(corpus)
-    if not queries:
-        raise ValueError("no degraded queries: corpus has no redundant usages with calls")
-    answered = [(dq, *_answer(dq, corpus, cfg, default_similarity)) for dq in queries]
+    answered = [(dq, *_answer(dq, corpus, cfg)) for dq in queries]
     out = []
     for t in thresholds:
         pc = PredictionConfig(t, cfg.prediction.strict_comparison)

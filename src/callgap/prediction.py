@@ -7,6 +7,7 @@ recommendation list keeps candidates whose likelihood clears a threshold.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,19 +41,9 @@ class PredictionConfig:
         object.__setattr__(self, "threshold", t)
 
 
-def candidate_calls(q: Query, a_ids: list[str], corpus: Corpus) -> set[str]:
-    """Union of neighbor call-sets minus the query's own calls."""
-    out: set[str] = set()
-    for uid in a_ids:
-        out |= corpus.by_id[uid].calls
-    return out - q.calls
-
-
-def likelihoods(q: Query, a_ids: list[str], corpus: Corpus) -> list[Recommendation]:
+def likelihoods(q: Query, a_ids: Sequence[str], corpus: Corpus) -> list[Recommendation]:
     """One recommendation per candidate call, sorted by likelihood descending
     then method name; empty when there are no neighbors."""
-    if not a_ids:
-        return []
     support: dict[str, int] = {}
     for uid in a_ids:
         for m in corpus.by_id[uid].calls - q.calls:
@@ -63,16 +54,10 @@ def likelihoods(q: Query, a_ids: list[str], corpus: Corpus) -> list[Recommendati
     return recs
 
 
-def missing(
-    q: Query, a_ids: list[str], corpus: Corpus, cfg: PredictionConfig
-) -> list[Recommendation]:
-    """Recommendations whose likelihood clears the threshold, order preserved."""
-    return filter_recommendations(likelihoods(q, a_ids, corpus), cfg)
-
-
 def filter_recommendations(
     recs: list[Recommendation], cfg: PredictionConfig
 ) -> list[Recommendation]:
+    """Recommendations whose likelihood clears the threshold, order preserved."""
     t = cfg.threshold
     if cfg.strict_comparison:
         return [r for r in recs if r.likelihood > t]

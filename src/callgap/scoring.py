@@ -13,15 +13,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-from .similarity import SimilarityParams, is_redundant, similarity_of
+from .similarity import SimilarityParams, is_redundant, query_for, query_similarity
 
 
 @dataclass(frozen=True)
 class ScoredUsage:
+    """a_ids are the usage's almost-similar neighbors, in corpus order."""
+
     id: str
     s_score: Fraction
     e_count: int
-    a_count: int
+    a_ids: tuple[str, ...]
+
+    @property
+    def a_count(self) -> int:
+        return len(self.a_ids)
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,8 @@ def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
     """Score every usage; sorted by score descending, ties by id ascending."""
     scored = []
     for u in corpus:
-        r = similarity_of(u.id, corpus, p)
-        a = len(r.a_ids)
-        scored.append(ScoredUsage(u.id, s_score(r.e_count, a), r.e_count, a))
+        r = query_similarity(query_for(u), corpus, p)
+        scored.append(ScoredUsage(u.id, s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids))
     scored.sort(key=lambda s: (-s.s_score, s.id))
     return scored
 
@@ -96,13 +101,19 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def as_bin_width(value) -> Fraction:
+    """Exact histogram bin width; ValueError unless it is in (0, 1]."""
+    w = as_fraction(value)
+    if not 0 < w <= 1:
+        raise ValueError(f"bin width must be in (0, 1], got {w}")
+    return w
+
+
 def histogram(
     scores: list[ScoredUsage], bin_width
 ) -> list[tuple[Fraction, Fraction, int]]:
     """Counts over half-open bins [i*w, (i+1)*w); the last bin is closed at 1."""
-    w = as_fraction(bin_width)
-    if not 0 < w <= 1:
-        raise ValueError(f"bin width must be in (0, 1], got {w}")
+    w = as_bin_width(bin_width)
     n_bins = int(-(-1 // w))  # ceil(1/w)
     counts = [0] * n_bins
     for s in scores:

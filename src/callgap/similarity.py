@@ -92,8 +92,13 @@ def query_for(u: TypeUsage) -> Query:
     return Query(u.type_name, u.context, u.calls, exclude_id=u.id)
 
 
-def similarity_of(usage_id: str, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
-    """E/A of an in-corpus usage; the subject contributes exactly once to
-    e_count (via the explicit +1, never via the index)."""
-    q = query_for(corpus.get(usage_id))
+def query_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
+    """E/A of a query: the one place the two relations are composed. An
+    in-corpus subject contributes exactly once to e_count (via the explicit
+    +1, never via the index) when the query excludes it."""
     return SimilarityResult(exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p)))
+
+
+def similarity_of(usage_id: str, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
+    """E/A of an in-corpus usage, leaving the usage itself out."""
+    return query_similarity(query_for(corpus.get(usage_id)), corpus, p)

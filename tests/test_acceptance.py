@@ -13,27 +13,25 @@ import random
 import time
 from fractions import Fraction
 
+import callgap.evaluation
 from callgap import (
     Corpus,
     EvalConfig,
     PredictionConfig,
     Query,
     SimilarityParams,
-    SyntheticSpec,
     almost_similar,
-    brute_force_oracle,
     evaluate,
     exactly_similar,
-    gen_synthetic,
     likelihoods,
-    missing,
-    s_score,
     score_all,
-    similarity_of,
-    write_corpus,
 )
 from callgap.cli import main as cli_main
-from callgap.evaluation import oracle_similarity
+from callgap.corpus import write_corpus
+from callgap.evaluation import SyntheticSpec, brute_force_oracle, gen_synthetic, oracle_similarity
+from callgap.prediction import filter_recommendations
+from callgap.scoring import s_score
+from callgap.similarity import similarity_of
 from conftest import random_corpus, usage
 
 
@@ -64,7 +62,7 @@ def test_criterion_1_worked_example_goldens():
     a_ids = almost_similar(q, sandra, P1)
     assert e == 1 and len(a_ids) == 16
     assert s_score(e, len(a_ids)) == Fraction(16, 17)
-    recs = missing(q, a_ids, sandra, PredictionConfig(Fraction(9, 10)))
+    recs = filter_recommendations(likelihoods(q, a_ids, sandra), PredictionConfig(Fraction(9, 10)))
     assert [(r.method, r.likelihood) for r in recs] == [("setControl", Fraction(1))]
 
     # likelihood worked example: 4/5 setText, 1/5 setFont, t=0.75 keeps setText
@@ -81,7 +79,7 @@ def test_criterion_1_worked_example_goldens():
         ("setText", Fraction(4, 5)),
         ("setFont", Fraction(1, 5)),
     ]
-    kept = missing(q2, a2, fig, PredictionConfig(Fraction(3, 4)))
+    kept = filter_recommendations(likelihoods(q2, a2, fig), PredictionConfig(Fraction(3, 4)))
     assert [r.method for r in kept] == ["setText"]
 
     # similarity-relations figure: b E aBut, myBut in A(b), by index and oracle
@@ -130,7 +128,7 @@ def _planted_unanimous(n_buckets=3, per_bucket=10):
     return Corpus(usages)
 
 
-def test_criterion_3_degradation_protocol():
+def test_criterion_3_degradation_protocol(monkeypatch):
     # seed-inclusion sanity on several generated corpora
     for seed in range(5):
         corpus, _ = gen_synthetic(
@@ -154,12 +152,14 @@ def test_criterion_3_degradation_protocol():
     usages += [usage(f"q{i}", "T", "c()", {"open", "write"}) for i in range(4)]
     two_conv = Corpus(usages)
     cfg = EvalConfig(prediction=PredictionConfig(Fraction(1, 2)))
-    assert evaluate(two_conv, cfg) == evaluate(two_conv, cfg, similarity_fn=oracle_similarity)
+    indexed = evaluate(two_conv, cfg)
+    monkeypatch.setattr(callgap.evaluation, "query_similarity", oracle_similarity)
+    assert indexed == evaluate(two_conv, cfg)
     report("3 (degradation-protocol properties)")
 
 
 def test_criterion_4_sweep_monotonicity():
-    from callgap import sweep_k, sweep_threshold
+    from callgap.evaluation import sweep_k, sweep_threshold
 
     ts = [Fraction(i, 10) for i in range(11)]
     checked = 0
@@ -224,7 +224,7 @@ def test_criterion_6_linear_time_at_scale():
         u = corpus.get(s.id)
         q = Query(u.type_name, u.context, u.calls, exclude_id=u.id)
         a_ids = almost_similar(q, corpus, P1)
-        n_recs += len(missing(q, a_ids, corpus, cfg))
+        n_recs += len(filter_recommendations(likelihoods(q, a_ids, corpus), cfg))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"scoring+prediction took {elapsed:.2f}s"
     assert n_recs > 0  # the planted deviants produce recommendations

@@ -1,0 +1,94 @@
+"""The public surface: ``callgap.__all__`` is what the README documents, and
+every name the benchmark harness (``bench/run.py``, ``bench/spans.py``) reads
+still exists with the same parameters and call path."""
+
+import importlib
+import inspect
+import io
+import re
+from pathlib import Path
+
+import callgap
+import callgap.cli
+import callgap.evaluation
+import callgap.similarity
+from callgap import Corpus, EvalConfig
+from callgap.corpus import write_corpus
+from conftest import usage
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (module, attribute, parameter names) the harness calls or wraps by name
+BENCH_FUNCTIONS = [
+    ("callgap.corpus", "load_corpus", ["path"]),
+    ("callgap.corpus", "parse_corpus", ["text"]),
+    ("callgap.corpus", "parse_corpus_jsonl", ["text"]),
+    ("callgap.similarity", "exactly_similar", ["q", "corpus", "p"]),
+    ("callgap.similarity", "almost_similar", ["q", "corpus", "p"]),
+    ("callgap.scoring", "score_all", ["corpus", "p"]),
+    ("callgap.scoring", "distribution_stats", ["scores", "corpus"]),
+    ("callgap.scoring", "histogram", ["scores", "bin_width"]),
+    ("callgap.prediction", "likelihoods", ["q", "a_ids", "corpus"]),
+    ("callgap.prediction", "filter_recommendations", ["recs", "cfg"]),
+    ("callgap.evaluation", "evaluate", ["corpus", "cfg"]),
+    ("callgap.evaluation", "sweep_k", ["corpus", "cfg", "ks"]),
+    ("callgap.evaluation", "generate_degraded", ["corpus"]),
+    ("callgap.evaluation", "aggregate", ["outcomes"]),
+    ("callgap.evaluation", "run_query", ["dq", "corpus", "cfg"]),
+    ("callgap.cli", "main", ["argv", "out"]),
+]
+
+# names the harness reads from the package itself
+BENCH_TOP_LEVEL = [
+    "SimilarityParams", "PredictionConfig", "Query", "exactly_similar",
+    "almost_similar", "likelihoods", "load_corpus",
+]
+
+
+def test_all_matches_readme_library_block():
+    block = re.search(r"from callgap import \(([^)]*)\)", README.read_text(encoding="utf-8"))
+    documented = re.findall(r"\w+", block.group(1))
+    assert sorted(callgap.__all__) == sorted(documented)
+    assert len(set(documented)) == len(documented)
+    for name in callgap.__all__:
+        assert hasattr(callgap, name), name
+
+
+def test_bench_names_exist_with_their_parameters():
+    for module, attr, params in BENCH_FUNCTIONS:
+        fn = getattr(importlib.import_module(module), attr)
+        assert list(inspect.signature(fn).parameters) == params, f"{module}.{attr}"
+    for name in BENCH_TOP_LEVEL:
+        assert name in callgap.__all__, name
+    assert inspect.isclass(callgap.corpus.Corpus)
+
+
+def test_evaluate_calls_module_run_query_once_per_degraded_query(monkeypatch):
+    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b", "c"}) for i in range(4)])
+    calls = []
+    real = callgap.evaluation.run_query
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(callgap.evaluation, "run_query", counting)
+    callgap.evaluation.evaluate(corpus, EvalConfig())
+    assert calls == callgap.evaluation.generate_degraded(corpus)
+
+
+def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
+    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"} if i else {"a"}) for i in range(5)])
+    path = tmp_path / "c.tsv"
+    path.write_text(write_corpus(corpus), encoding="utf-8")
+    calls = []
+    real = callgap.similarity.almost_similar
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(callgap.similarity, "almost_similar", counting)
+    monkeypatch.setattr(callgap.cli, "almost_similar", counting, raising=False)
+    assert callgap.cli.main(["score", str(path)], out=io.StringIO()) == 0
+    assert len(calls) == len(corpus)  # one per usage, all from score_all

@@ -4,11 +4,10 @@ import io
 
 import pytest
 
-from callgap import write_corpus
-from callgap.cli import main
-from conftest import usage
-
 from callgap import Corpus
+from callgap.cli import main
+from callgap.corpus import write_corpus
+from conftest import usage
 
 
 def run_cli(argv):
@@ -198,3 +197,30 @@ def test_commands_byte_identical_across_runs(sandra_file, argv_builder):
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert out1.encode() == out2.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "-t", "abc"],
+        ["score", "-t", "2"],
+        ["score", "--min-score", "x"],
+        ["score", "--k", "0"],
+        ["score", "--top", "-1"],
+        ["stats", "--hist-width", "0"],
+        ["eval", "--sweep-k", "0"],
+        ["eval", "--sweep-t", "2"],
+    ],
+)
+def test_bad_flag_value_exits_2_before_loading(tmp_path, capsys, argv):
+    # The corpus path does not exist: a flag checked only after loading
+    # would return 2 from the read error instead of exiting as a usage error.
+    command, flag, value = argv
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "absent.tsv"), flag, value], out=buf)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert buf.getvalue() == "" and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: argument {flag}" in captured.err

@@ -1,8 +1,10 @@
 """Corpus parsing, writing, and bucket indexing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from callgap import Corpus, CorpusFormatError, TypeUsage, parse_corpus, parse_corpus_jsonl, write_corpus
+from callgap import Corpus, CorpusFormatError, TypeUsage
+from callgap.corpus import parse_corpus, parse_corpus_jsonl, write_corpus
 
 
 def test_parse_basic_line():
@@ -63,6 +65,25 @@ def test_jsonl_roundtrip(tmp_path):
     assert c.get("u2").origin == "F.java:1"
 
 
+def test_jsonl_numeric_zero_id_is_kept():
+    c = parse_corpus_jsonl(
+        '{"id": 0, "type": "A", "context": "c()", "calls": []}\n'
+        '{"type": "A", "context": "c()", "calls": []}\n'
+    )
+    assert [u.id for u in c] == ["0", "u2"]
+
+
+def test_jsonl_and_tsv_strip_call_names_alike():
+    tsv = parse_corpus("u1\tA\tc()\t f ,,g, f\n")
+    jsonl = parse_corpus_jsonl('{"id": "u1", "type": "A", "context": "c()", "calls": [" f ", "", "g", "f"]}\n')
+    assert tsv.get("u1").calls == jsonl.get("u1").calls == {"f", "g"}
+
+
+def test_jsonl_non_string_call_name_names_line():
+    with pytest.raises(CorpusFormatError, match="line 2"):
+        parse_corpus_jsonl('{"type": "A", "context": "c()"}\n{"type": "A", "context": "c()", "calls": [1]}\n')
+
+
 def test_jsonl_bad_json_names_line():
     with pytest.raises(CorpusFormatError, match="line 1"):
         parse_corpus_jsonl("{not json\n")
@@ -84,6 +105,53 @@ def test_write_empty_corpus():
 def test_write_empty_calls():
     c = Corpus([TypeUsage("u1", "A", "c()", frozenset())])
     assert write_corpus(c) == "u1\tA\tc()\t\n"
+
+
+@pytest.mark.parametrize(
+    "usage, field",
+    [
+        (TypeUsage("u1", "A\tB", "c()", frozenset()), "type"),
+        (TypeUsage("u1", "A", "c()\r", frozenset()), "context"),
+        (TypeUsage("u1", "A", "c()", frozenset(), "F.java\n:1"), "origin"),
+        (TypeUsage("u1", "A", "c()", frozenset({"f,g"})), "call"),
+        (TypeUsage("u1", "A", "c()", frozenset({""})), "call"),
+        (TypeUsage(" u1", "A", "c()", frozenset()), "id"),
+        (TypeUsage("", "A", "c()", frozenset()), "id"),
+        (TypeUsage("#u1", "A", "c()", frozenset()), "id"),
+        (TypeUsage("u1", "A", "c()", frozenset(), ""), "origin"),
+    ],
+)
+def test_write_refuses_what_it_cannot_round_trip(usage, field):
+    with pytest.raises(ValueError, match=f"usage {usage.id!r}: cannot write {field} "):
+        write_corpus(Corpus([usage]))
+
+
+# Plain characters plus, per corpus, one that the line format treats
+# specially: a writer that lets such a character through is caught when the
+# corpus reads back differently.
+_SPECIAL = " #,:\t\r\n\x0b\x1c\x1f\x85\u2028"
+
+
+@st.composite
+def _corpora(draw):
+    field = st.text(st.sampled_from("ab<>.()" + draw(st.sampled_from(_SPECIAL))),
+                    min_size=1, max_size=4)
+    ids = draw(st.lists(field, max_size=4, unique=True))
+    return Corpus(
+        TypeUsage(uid, draw(field), draw(field), frozenset(draw(st.lists(field, max_size=3))),
+                  draw(st.none() | field))
+        for uid in ids
+    )
+
+
+@given(_corpora())
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_back_whatever_write_accepts(corpus):
+    try:
+        text = write_corpus(corpus)
+    except ValueError:
+        return
+    assert list(parse_corpus(text)) == list(corpus)
 
 
 def test_bucket_lookup(two_usage_corpus, three_button_corpus):

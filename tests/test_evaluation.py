@@ -5,22 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from callgap import (
-    Corpus,
-    EvalConfig,
-    PredictionConfig,
-    SimilarityParams,
+import callgap.evaluation
+from callgap import Corpus, EvalConfig, PredictionConfig, SimilarityParams, evaluate
+from callgap.corpus import write_corpus
+from callgap.evaluation import (
     SyntheticSpec,
+    aggregate,
     brute_force_oracle,
-    evaluate,
     gen_synthetic,
     generate_degraded,
+    oracle_similarity,
+    report_csv_row,
     run_query,
     sweep_k,
     sweep_threshold,
-    write_corpus,
 )
-from callgap.evaluation import aggregate, oracle_similarity, report_csv_row
 from conftest import random_corpus, usage
 
 
@@ -124,10 +123,12 @@ def test_evaluate_undefined_metrics_when_nothing_answered():
     assert ",NA," in row
 
 
-def test_evaluate_matches_oracle_similarity_path():
+def test_evaluate_matches_oracle_similarity_path(monkeypatch):
     corpus = two_convention_corpus()
     cfg = EvalConfig()
-    assert evaluate(corpus, cfg) == evaluate(corpus, cfg, similarity_fn=oracle_similarity)
+    indexed = evaluate(corpus, cfg)
+    monkeypatch.setattr(callgap.evaluation, "query_similarity", oracle_similarity)
+    assert indexed == evaluate(corpus, cfg)
 
 
 def test_evaluate_deterministic():
@@ -193,7 +194,7 @@ def test_gen_synthetic_deviants_score_as_planted():
     # force exactly the truth-listed usages to deviate; conformers dominate
     spec = SyntheticSpec(n_buckets=3, usages_per_bucket=20, convention_size=4, deviance_rate=0.1)
     corpus, truth = gen_synthetic(spec, 9)
-    from callgap import similarity_of
+    from callgap.similarity import similarity_of
 
     deviants = {uid for uid, _ in truth}
     for uid, dropped in truth:

@@ -5,15 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from callgap import (
-    PredictionConfig,
-    Query,
-    SimilarityParams,
-    almost_similar,
-    candidate_calls,
-    likelihoods,
-    missing,
-)
+from callgap import PredictionConfig, Query, SimilarityParams, almost_similar, likelihoods
+from callgap.prediction import filter_recommendations
 from conftest import random_corpus
 
 
@@ -32,17 +25,17 @@ def neighborhood(corpus, uid):
 
 def test_candidate_calls_likelihood_corpus(likelihood_corpus):
     q, a_ids = neighborhood(likelihood_corpus, "x")
-    assert candidate_calls(q, a_ids, likelihood_corpus) == {"setText", "setFont"}
+    assert {r.method for r in likelihoods(q, a_ids, likelihood_corpus)} == {"setText", "setFont"}
 
 
 def test_candidate_calls_empty_neighborhood(likelihood_corpus):
     q = Query("Button", "elsewhere()", frozenset({"<init>"}))
-    assert candidate_calls(q, [], likelihood_corpus) == set()
+    assert {r.method for r in likelihoods(q, [], likelihood_corpus)} == set()
 
 
 def test_candidates_never_include_own_calls(likelihood_corpus):
     q, a_ids = neighborhood(likelihood_corpus, "x")
-    assert "<init>" not in candidate_calls(q, a_ids, likelihood_corpus)
+    assert "<init>" not in {r.method for r in likelihoods(q, a_ids, likelihood_corpus)}
 
 
 def test_likelihoods_values_and_order(likelihood_corpus):
@@ -73,25 +66,29 @@ def test_likelihoods_empty_is_empty_list(likelihood_corpus):
 
 def test_missing_threshold_worked_example(likelihood_corpus):
     q, a_ids = neighborhood(likelihood_corpus, "x")
-    recs = missing(q, a_ids, likelihood_corpus, PredictionConfig(Fraction(3, 4)))
+    recs = filter_recommendations(likelihoods(q, a_ids, likelihood_corpus),
+                                  PredictionConfig(Fraction(3, 4)))
     assert [r.method for r in recs] == ["setText"]
 
 
 def test_missing_t0_strict_keeps_all(likelihood_corpus):
     q, a_ids = neighborhood(likelihood_corpus, "x")
-    recs = missing(q, a_ids, likelihood_corpus, PredictionConfig(Fraction(0)))
+    recs = filter_recommendations(likelihoods(q, a_ids, likelihood_corpus),
+                                  PredictionConfig(Fraction(0)))
     assert [r.method for r in recs] == ["setText", "setFont"]
 
 
 def test_missing_t1_strict_is_empty(likelihood_corpus, sandra_corpus):
     for corpus, uid in ((likelihood_corpus, "x"), (sandra_corpus, "sandra")):
         q, a_ids = neighborhood(corpus, uid)
-        assert missing(q, a_ids, corpus, PredictionConfig(Fraction(1))) == []
+        recs = likelihoods(q, a_ids, corpus)
+        assert filter_recommendations(recs, PredictionConfig(Fraction(1))) == []
 
 
 def test_missing_t1_nonstrict_keeps_unanimous(sandra_corpus):
     q, a_ids = neighborhood(sandra_corpus, "sandra")
-    recs = missing(q, a_ids, sandra_corpus, PredictionConfig(Fraction(1), strict_comparison=False))
+    recs = filter_recommendations(likelihoods(q, a_ids, sandra_corpus),
+                                  PredictionConfig(Fraction(1), strict_comparison=False))
     assert [r.method for r in recs] == ["setControl"]
 
 
@@ -106,9 +103,10 @@ def test_filter_monotonicity_random():
     thresholds = [Fraction(i, 10) for i in range(11)]
     for u in corpus:
         q, a_ids = neighborhood(corpus, u.id)
+        recs = likelihoods(q, a_ids, corpus)
         prev = None
         for t in thresholds:
-            cur = {r.method for r in missing(q, a_ids, corpus, PredictionConfig(t))}
+            cur = {r.method for r in filter_recommendations(recs, PredictionConfig(t))}
             if prev is not None:
                 assert cur <= prev
             prev = cur

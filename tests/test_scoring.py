@@ -5,15 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from callgap import (
-    Corpus,
-    SimilarityParams,
-    distribution_stats,
-    histogram,
-    s_score,
-    score_all,
-)
-from callgap.scoring import ScoredUsage
+from callgap import Corpus, SimilarityParams, score_all
+from callgap.scoring import ScoredUsage, distribution_stats, histogram, s_score
 from conftest import random_corpus, usage
 
 
@@ -109,7 +102,7 @@ def test_distribution_stats_match_bruteforce_recount():
 
 
 def _scored(values):
-    return [ScoredUsage(f"u{i}", Fraction(v), 1, 0) for i, v in enumerate(values)]
+    return [ScoredUsage(f"u{i}", Fraction(v), 1, ()) for i, v in enumerate(values)]
 
 
 def test_histogram_simple():

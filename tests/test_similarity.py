@@ -5,15 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from callgap import (
-    Query,
-    SimilarityParams,
-    almost_similar,
-    brute_force_oracle,
-    exactly_similar,
-    is_redundant,
-    similarity_of,
-)
+from callgap import Query, SimilarityParams, almost_similar, exactly_similar
+from callgap.evaluation import brute_force_oracle
+from callgap.similarity import is_redundant, similarity_of
 from conftest import random_corpus
 
 
