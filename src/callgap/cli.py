@@ -208,7 +208,9 @@ def _flag(convert):
     def parse(text: str):
         try:
             return convert(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"{text!r}: zero denominator") from None
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
     return parse
@@ -269,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="recommendations for one ad-hoc query")
     p.add_argument("corpus")
-    p.add_argument("--type", required=True, help="variable type name")
-    p.add_argument("--context", required=True, help="enclosing method signature")
+    p.add_argument("--type", type=str.strip, required=True, help="variable type name")
+    p.add_argument("--context", type=str.strip, required=True, help="enclosing method signature")
     p.add_argument("--calls", default="", help="comma-separated calls already made")
     _add_similarity_flags(p)
     _add_threshold_flags(p)
@@ -281,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_similarity_flags(p)
     _add_threshold_flags(p)
     p.add_argument("--include-seed", action="store_true", help="disable leave-one-out")
-    p.add_argument("--sweep-t", type=_flag(_each(_threshold)), default=None,
-                   help="comma-separated thresholds to sweep")
-    p.add_argument("--sweep-k", type=_flag(_each(_k)), default=None, help="comma-separated k values to sweep")
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--sweep-t", type=_flag(_each(_threshold)), default=None,
+                       help="comma-separated thresholds to sweep")
+    sweep.add_argument("--sweep-k", type=_flag(_each(_k)), default=None, help="comma-separated k values to sweep")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic corpus + ground truth")

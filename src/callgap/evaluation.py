@@ -14,6 +14,7 @@ oracle used to cross-check the indexed similarity computation.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -58,21 +59,27 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Per-query record: what was asked, what came back, and whether the
-    removed call was recovered."""
+    """Per-query record: what was asked and what came back. recommendations
+    holds every candidate call, missing those that clear the threshold."""
 
     seed_id: str
     removed: str
-    answered: bool
-    correct: bool
-    perfect: bool
-    sizeanswer: int
     e_count: int
     a_count: int
-    s: Fraction
-    r_size: int
     recommendations: tuple[Recommendation, ...]
     missing: tuple[Recommendation, ...]
+
+    @property
+    def answered(self) -> bool:
+        return bool(self.missing)
+
+    @property
+    def correct(self) -> bool:
+        return any(r.method == self.removed for r in self.missing)
+
+    @property
+    def perfect(self) -> bool:
+        return self.correct and len(self.missing) == 1
 
 
 @dataclass(frozen=True)
@@ -143,62 +150,32 @@ def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:
     return out
 
 
-def _answer(
-    dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig
-) -> tuple[SimilarityResult, list[Recommendation]]:
+def run_query(dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig) -> QueryOutcome:
     q = dq.query if not cfg.include_seed else replace(dq.query, exclude_id=None)
     sim = query_similarity(q, corpus, cfg.similarity)
-    return sim, likelihoods(q, sim.a_ids, corpus)
-
-
-def _finalize(
-    dq: DegradedQuery,
-    sim: SimilarityResult,
-    recs: list[Recommendation],
-    prediction: PredictionConfig,
-) -> QueryOutcome:
-    miss = filter_recommendations(recs, prediction)
-    answered = len(miss) >= 1
-    correct = any(r.method == dq.removed for r in miss)
-    return QueryOutcome(
-        seed_id=dq.seed_id,
-        removed=dq.removed,
-        answered=answered,
-        correct=correct,
-        perfect=correct and len(miss) == 1,
-        sizeanswer=len(miss),
-        e_count=sim.e_count,
-        a_count=len(sim.a_ids),
-        s=s_score(sim.e_count, len(sim.a_ids)),
-        r_size=len(recs),
-        recommendations=tuple(recs),
-        missing=tuple(miss),
-    )
-
-
-def run_query(dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig) -> QueryOutcome:
-    sim, recs = _answer(dq, corpus, cfg)
-    return _finalize(dq, sim, recs, cfg.prediction)
+    recs = likelihoods(q, sim.a_ids, corpus)
+    missing = filter_recommendations(recs, cfg.prediction)
+    return QueryOutcome(dq.seed_id, dq.removed, sim.e_count, len(sim.a_ids), tuple(recs), tuple(missing))
 
 
 def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:
+    """Batch metrics. A batch repeats few (e, a) pairs and answer sizes, so
+    s and 1/size are built once per distinct value, not once per query."""
     n = len(outcomes)
     if n == 0:
         raise ValueError("no degraded queries: corpus has no redundant usages with calls")
     n_ans = sum(1 for o in outcomes if o.answered)
-    n_cor = sum(1 for o in outcomes if o.correct)
-    n_perf = sum(1 for o in outcomes if o.perfect)
+    correct_sizes = Counter(len(o.missing) for o in outcomes if o.correct)
+    n_cor = sum(correct_sizes.values())
     if n_ans:
         correct_frac = Fraction(n_cor, n_ans)
         false_frac = 1 - correct_frac
-        precision = (
-            sum((Fraction(1, o.sizeanswer) for o in outcomes if o.correct), Fraction(0))
-            / n_ans
-        )
+        precision = sum((Fraction(c, size) for size, c in correct_sizes.items()), Fraction(0)) / n_ans
     else:
         correct_frac = false_frac = precision = None
+    by_ea = Counter((o.e_count, o.a_count) for o in outcomes)
     total_phi = sum((r.likelihood for o in outcomes for r in o.recommendations), Fraction(0))
-    n_phi = sum(o.r_size for o in outcomes)
+    n_phi = sum(len(o.recommendations) for o in outcomes)
     return EvalReport(
         n_queries=n,
         answered_frac=Fraction(n_ans, n),
@@ -206,13 +183,13 @@ def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:
         false_frac=false_frac,
         precision=precision,
         recall=Fraction(n_cor, n),
-        perfect_frac=Fraction(n_perf, n),
+        perfect_frac=Fraction(correct_sizes[1], n),
         avg_e=Fraction(sum(o.e_count for o in outcomes), n),
         avg_a=Fraction(sum(o.a_count for o in outcomes), n),
-        avg_s=sum((o.s for o in outcomes), Fraction(0)) / n,
-        avg_r=Fraction(sum(o.r_size for o in outcomes), n),
+        avg_s=sum((c * s_score(e, a) for (e, a), c in by_ea.items()), Fraction(0)) / n,
+        avg_r=Fraction(n_phi, n),
         avg_phi=total_phi / n_phi if n_phi else None,
-        avg_missing=Fraction(sum(o.sizeanswer for o in outcomes), n),
+        avg_missing=Fraction(sum(len(o.missing) for o in outcomes), n),
     )
 
 
@@ -224,14 +201,15 @@ def evaluate(corpus: Corpus, cfg: EvalConfig) -> EvalReport:
 def sweep_threshold(
     corpus: Corpus, cfg: EvalConfig, thresholds: list
 ) -> list[tuple[Fraction, EvalReport]]:
-    """One report per threshold; similarity and likelihoods are computed once
-    and re-filtered per threshold."""
-    queries = generate_degraded(corpus)
-    answered = [(dq, *_answer(dq, corpus, cfg)) for dq in queries]
+    """One report per threshold; each query is answered once and its
+    candidates re-filtered per threshold."""
+    outcomes = [run_query(dq, corpus, cfg) for dq in generate_degraded(corpus)]
     out = []
     for t in thresholds:
         pc = PredictionConfig(t, cfg.prediction.strict_comparison)
-        out.append((pc.threshold, aggregate([_finalize(dq, sim, recs, pc) for dq, sim, recs in answered])))
+        kept = [replace(o, missing=tuple(filter_recommendations(o.recommendations, pc)))
+                for o in outcomes]
+        out.append((pc.threshold, aggregate(kept)))
     return out
 
 

@@ -55,7 +55,7 @@ def likelihoods(q: Query, a_ids: Sequence[str], corpus: Corpus) -> list[Recommen
 
 
 def filter_recommendations(
-    recs: list[Recommendation], cfg: PredictionConfig
+    recs: Sequence[Recommendation], cfg: PredictionConfig
 ) -> list[Recommendation]:
     """Recommendations whose likelihood clears the threshold, order preserved."""
     t = cfg.threshold

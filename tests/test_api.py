@@ -77,6 +77,20 @@ def test_evaluate_calls_module_run_query_once_per_degraded_query(monkeypatch):
     assert calls == callgap.evaluation.generate_degraded(corpus)
 
 
+def test_bench_reads_these_result_attributes():
+    # bench/spans.py reads QueryOutcome.answered, DegradedQuery.query/.removed
+    # and Query.type_name/.context/.calls; bench/run.py reads each
+    # Recommendation's method, likelihood and support.
+    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"}) for i in range(3)])
+    dq = callgap.evaluation.generate_degraded(corpus)[0]
+    outcome = callgap.evaluation.run_query(dq, corpus, EvalConfig())
+    assert outcome.answered is True
+    assert dq.removed == "a" and dq.query.calls == frozenset({"b"})
+    assert (dq.query.type_name, dq.query.context) == ("T", "c()")
+    rec = outcome.recommendations[0]
+    assert (rec.method, rec.likelihood, rec.support) == ("a", 1, 2)
+
+
 def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
     corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"} if i else {"a"}) for i in range(5)])
     path = tmp_path / "c.tsv"

@@ -103,6 +103,19 @@ def test_predict_t0_lists_both(likelihood_file):
     assert "setText" in out and "setFont" in out
 
 
+def test_predict_strips_arguments_like_corpus_fields(likelihood_file):
+    plain = run_cli(
+        ["predict", likelihood_file, "--type", "Button",
+         "--context", "Page.createButton()", "--calls", "<init>", "-t", "0"]
+    )
+    padded = run_cli(
+        ["predict", likelihood_file, "--type", " Button ",
+         "--context", "\tPage.createButton() ", "--calls", " <init> , ", "-t", "0"]
+    )
+    assert padded == plain
+    assert "a_count: 5" in plain[1]
+
+
 def test_predict_no_match(likelihood_file):
     code, out = run_cli(
         ["predict", likelihood_file, "--type", "Nope", "--context", "x()"]
@@ -210,17 +223,32 @@ def test_commands_byte_identical_across_runs(sandra_file, argv_builder):
         ["stats", "--hist-width", "0"],
         ["eval", "--sweep-k", "0"],
         ["eval", "--sweep-t", "2"],
+        ["eval", "--sweep-t", "0.5", "--sweep-k", "1,2"],
     ],
 )
 def test_bad_flag_value_exits_2_before_loading(tmp_path, capsys, argv):
     # The corpus path does not exist: a flag checked only after loading
     # would return 2 from the read error instead of exiting as a usage error.
-    command, flag, value = argv
+    command, *flags = argv
     buf = io.StringIO()
     with pytest.raises(SystemExit) as exc:
-        main([command, str(tmp_path / "absent.tsv"), flag, value], out=buf)
+        main([command, str(tmp_path / "absent.tsv"), *flags], out=buf)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert buf.getvalue() == "" and captured.out == ""
     assert "Traceback" not in captured.err
-    assert f"error: argument {flag}" in captured.err
+    assert f"error: argument {flags[-2]}" in captured.err  # the last flag given
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("score", "-t"), ("score", "--min-score"), ("stats", "--hist-width"), ("eval", "--sweep-t")],
+)
+def test_zero_denominator_flag_says_why(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "absent.tsv"), flag, "1/0"], out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err
+    assert "zero denominator" in err
+    assert "Fraction(" not in err

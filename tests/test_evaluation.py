@@ -1,6 +1,7 @@
 """Degradation protocol, batch metrics, sweeps, generator, oracle."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import callgap.evaluation
 from callgap import Corpus, EvalConfig, PredictionConfig, SimilarityParams, evaluate
 from callgap.corpus import write_corpus
 from callgap.evaluation import (
+    EvalReport,
     SyntheticSpec,
     aggregate,
     brute_force_oracle,
@@ -20,6 +22,7 @@ from callgap.evaluation import (
     sweep_k,
     sweep_threshold,
 )
+from callgap.scoring import s_score
 from conftest import random_corpus, usage
 
 
@@ -241,3 +244,61 @@ def test_aggregate_invariants_on_random_corpora():
             assert 0 <= report.precision <= 1
         assert report.recall == report.answered_frac * (report.correct_frac or 0)
         assert report.perfect_frac <= report.recall
+
+
+def per_query_report(outcomes):
+    """EvalReport by the per-query definitions: 1/sizeanswer per correct
+    query, s(e, a) per query, and the likelihood of every candidate."""
+    n = len(outcomes)
+    correct = [o for o in outcomes if any(r.method == o.removed for r in o.missing)]
+    n_ans = sum(1 for o in outcomes if o.missing)
+    candidates = [r for o in outcomes for r in o.recommendations]
+    correct_frac = Fraction(len(correct), n_ans) if n_ans else None
+    return EvalReport(
+        n_queries=n,
+        answered_frac=Fraction(n_ans, n),
+        correct_frac=correct_frac,
+        false_frac=1 - correct_frac if n_ans else None,
+        precision=(sum((Fraction(1, len(o.missing)) for o in correct), Fraction(0)) / n_ans
+                   if n_ans else None),
+        recall=Fraction(len(correct), n),
+        perfect_frac=Fraction(sum(1 for o in correct if len(o.missing) == 1), n),
+        avg_e=Fraction(sum(o.e_count for o in outcomes), n),
+        avg_a=Fraction(sum(o.a_count for o in outcomes), n),
+        avg_s=sum((s_score(o.e_count, o.a_count) for o in outcomes), Fraction(0)) / n,
+        avg_r=Fraction(len(candidates), n),
+        avg_phi=(sum((r.likelihood for r in candidates), Fraction(0)) / len(candidates)
+                 if candidates else None),
+        avg_missing=Fraction(sum(len(o.missing) for o in outcomes), n),
+    )
+
+
+def test_aggregate_tallies_equal_per_query_definitions():
+    thresholds = [Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
+    configs = 0
+    no_neighbors = 0
+    for seed in range(6):
+        corpus = random_corpus(random.Random(300 + seed), max_usages=40)
+        queries = generate_degraded(corpus)
+        if not queries:
+            continue
+        for k in (1, 2, 3):
+            for include_seed in (False, True):
+                for t in thresholds:
+                    for strict in (True, False):
+                        cfg = EvalConfig(
+                            prediction=PredictionConfig(t, strict_comparison=strict),
+                            similarity=SimilarityParams(k=k),
+                            include_seed=include_seed,
+                        )
+                        outcomes = [run_query(dq, corpus, cfg) for dq in queries]
+                        report = aggregate(outcomes)
+                        expected = per_query_report(outcomes)
+                        assert report == expected, (seed, k, include_seed, t, strict)
+                        for f in fields(EvalReport):
+                            got, want = getattr(report, f.name), getattr(expected, f.name)
+                            assert type(got) is type(want), f.name
+                        no_neighbors += sum(1 for o in outcomes if o.a_count == 0)
+                        configs += 1
+    assert configs >= 3 * 48
+    assert no_neighbors > 0
