@@ -37,27 +37,25 @@ class TypeUsage:
 class Corpus:
     """Immutable, ordered collection of type-usages with bucket indexes.
 
-    ``bucket_index`` maps (type_name, context) to the ids sharing that pair;
-    ``type_index`` maps type_name alone to ids (used when the context-equality
-    condition is switched off). Input order is preserved everywhere and serves
-    as the final tie-breaker for deterministic output.
+    ``bucket_index`` maps (type_name, context) to the usages sharing that
+    pair; ``type_index`` maps type_name alone to its usages. ``bucket`` is the
+    one lookup that picks between them. Input order is preserved everywhere
+    and serves as the final tie-breaker for deterministic output.
+
+    Every usage needs a non-empty type and context and an id of its own; a
+    usage that breaks either rule is a ValueError naming its record number.
     """
 
     def __init__(self, usages: Iterable[TypeUsage]):
         self.usages: list[TypeUsage] = list(usages)
-        self.by_id: dict[str, TypeUsage] = {}
-        self.bucket_index: dict[tuple[str, str], list[str]] = {}
-        self.type_index: dict[str, list[str]] = {}
+        self.by_id: dict[str, TypeUsage] = {u.id: u for u in self.usages}
+        self.bucket_index: dict[tuple[str, str], list[TypeUsage]] = {}
+        self.type_index: dict[str, list[TypeUsage]] = {}
         for u in self.usages:
-            if not u.type_name or not u.context:
-                raise ValueError(
-                    f"usage {u.id!r}: type_name and context must be non-empty"
-                )
-            if u.id in self.by_id:
-                raise ValueError(f"duplicate usage id {u.id!r}")
-            self.by_id[u.id] = u
-            self.bucket_index.setdefault((u.type_name, u.context), []).append(u.id)
-            self.type_index.setdefault(u.type_name, []).append(u.id)
+            self.bucket_index.setdefault((u.type_name, u.context), []).append(u)
+            self.type_index.setdefault(u.type_name, []).append(u)
+        if len(self.by_id) < len(self.usages) or any(not t or not c for t, c in self.bucket_index):
+            raise ValueError(_broken_rule(self.usages, lambda i: f"record {i + 1}"))
 
     def __len__(self) -> int:
         return len(self.usages)
@@ -71,43 +69,50 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown usage id {usage_id!r}") from None
 
-    def bucket(self, type_name: str, context: str) -> list[str]:
-        """Ids of all usages with exactly this (type, context) pair."""
-        return self.bucket_index.get((type_name, context), [])
+    def bucket(self, type_name: str, context: str, use_context: bool = True) -> list[TypeUsage]:
+        """The usages a query with this type and context is matched against,
+        in corpus order: its (type, context) bucket, or every usage of the
+        type when ``use_context`` is off."""
+        if use_context:
+            return self.bucket_index.get((type_name, context), [])
+        return self.type_index.get(type_name, [])
 
 
-def _parse_records(text: str, fields_of) -> Corpus:
+def _broken_rule(usages: list[TypeUsage], where) -> str | None:
+    """The first record rule ``usages`` breaks, located by ``where(index)``."""
+    first: dict[str, int] = {}
+    for i, u in enumerate(usages):
+        if not u.type_name or not u.context:
+            return f"{where(i)}: empty type or context field"
+        if first.setdefault(u.id, i) != i:
+            return f"{where(i)}: duplicate id {u.id!r} (first seen on {where(first[u.id])})"
+
+
+def _parse_records(lines: list[str], fields_of) -> Corpus:
     """The record loop both line formats share.
 
-    Lines starting with ``#`` and blank lines are skipped. ``fields_of(line,
+    Blank lines and lines starting with ``#`` are skipped. ``fields_of(line,
     lineno)`` splits a record line into (id, type, context, calls, origin)
     strings, calls a list of strings. Every field is stripped; an empty id is
     auto-assigned ``u<ordinal>`` in record order, empty call names are
     dropped and duplicates collapse (calls form a set), an empty origin is
-    None.
+    None. A record that breaks a ``Corpus`` rule is reported by line number.
     """
+    records = [(n, line) for n, line in enumerate(lines, start=1)
+               if line.strip() and not line.lstrip().startswith("#")]
     usages: list[TypeUsage] = []
-    id_lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in records:
         uid, type_name, context, calls, origin = fields_of(line, lineno)
-        uid = uid.strip() or f"u{len(usages) + 1}"
-        type_name = type_name.strip()
-        context = context.strip()
-        if not type_name or not context:
-            raise CorpusFormatError(f"line {lineno}: empty type or context field")
-        if uid in id_lines:
-            raise CorpusFormatError(
-                f"line {lineno}: duplicate id {uid!r} (first seen on line {id_lines[uid]})"
-            )
-        id_lines[uid] = lineno
         try:
             calls = frozenset(filter(None, map(str.strip, calls)))
         except TypeError:
             raise CorpusFormatError(f"line {lineno}: call names must be strings") from None
-        usages.append(TypeUsage(uid, type_name, context, calls, origin.strip() or None))
-    return Corpus(usages)
+        usages.append(TypeUsage(uid.strip() or f"u{len(usages) + 1}", type_name.strip(),
+                                context.strip(), calls, origin.strip() or None))
+    try:
+        return Corpus(usages)
+    except ValueError:
+        raise CorpusFormatError(_broken_rule(usages, lambda i: f"line {records[i][0]}")) from None
 
 
 def _tsv_fields(line: str, lineno: int):
@@ -120,20 +125,29 @@ def _tsv_fields(line: str, lineno: int):
     return fields[0], fields[1], fields[2], fields[3].split(","), origin
 
 
+def _jsonl_value(rec: dict, key: str, lineno: int, kind=str, missing=""):
+    """``rec[key]``, or ``missing`` when the key is absent or null. Any other
+    value that is not a ``kind`` (a bool never counts as an int) is a
+    CorpusFormatError naming the line and the key."""
+    value = rec.get(key)
+    if value is None:
+        return missing
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    what = {str: "a string", list: "a list", (str, int): "a string or an integer"}[kind]
+    raise CorpusFormatError(f"line {lineno}: {key!r} must be {what}")
+
+
 def _jsonl_fields(line: str, lineno: int):
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long to convert
         raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from None
     if not isinstance(rec, dict):
         raise CorpusFormatError(f"line {lineno}: expected a JSON object")
-    calls = rec.get("calls", [])
-    if not isinstance(calls, list):
-        raise CorpusFormatError(f"line {lineno}: 'calls' must be a list")
-    uid, type_name, context, origin = map(rec.get, ("id", "type", "context", "origin"))
-    return ("" if uid is None else str(uid), "" if type_name is None else str(type_name),
-            "" if context is None else str(context), calls,
-            "" if origin is None else str(origin))
+    return (str(_jsonl_value(rec, "id", lineno, (str, int))), _jsonl_value(rec, "type", lineno),
+            _jsonl_value(rec, "context", lineno), _jsonl_value(rec, "calls", lineno, list, []),
+            _jsonl_value(rec, "origin", lineno))
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -142,12 +156,15 @@ def parse_corpus(text: str) -> Corpus:
     One record per line: ``id <TAB> type <TAB> context <TAB> calls [<TAB> origin]``,
     calls comma-separated.
     """
-    return _parse_records(text, _tsv_fields)
+    return _parse_records(text.splitlines(), _tsv_fields)
 
 
 def parse_corpus_jsonl(text: str) -> Corpus:
-    """Parse the JSON-lines mirror (keys: id, type, context, calls, origin)."""
-    return _parse_records(text, _jsonl_fields)
+    """Parse the JSON-lines mirror (keys: id, type, context, calls, origin).
+
+    Records are split at line feeds only: a JSON string may hold other line
+    breaks, such as U+2028, raw."""
+    return _parse_records(text.split("\n"), _jsonl_fields)
 
 
 def _writable(u: TypeUsage, field: str, value: str, separators: str = "\t") -> str:
@@ -189,8 +206,9 @@ def write_corpus(corpus: Corpus) -> str:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a corpus file, dispatching on extension (.jsonl vs tab format)."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a UTF-8 corpus file, with or without a byte-order mark,
+    dispatching on extension (.jsonl vs tab format)."""
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if str(path).endswith(".jsonl"):
         return parse_corpus_jsonl(text)

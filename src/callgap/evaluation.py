@@ -30,7 +30,6 @@ from .similarity import (
     Query,
     SimilarityParams,
     SimilarityResult,
-    is_redundant,
     query_for,
     query_similarity,
 )
@@ -142,7 +141,7 @@ def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:
     Usages with an empty call-set yield nothing."""
     out = []
     for u in corpus:
-        if not u.calls or not is_redundant(u.id, corpus):
+        if not u.calls or len(corpus.bucket(u.type_name, u.context)) < 2:
             continue
         for m in sorted(u.calls):
             q = Query(u.type_name, u.context, u.calls - {m}, exclude_id=u.id)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-from .similarity import SimilarityParams, is_redundant, query_for, query_similarity
+from .similarity import SimilarityParams, query_for, query_similarity
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def distribution_stats(scores: list[ScoredUsage], corpus: Corpus) -> Distributio
     below = sum(1 for v in vals if v < Fraction(1, 10))
     above5 = sum(1 for v in vals if v > Fraction(1, 2))
     above9 = sum(1 for v in vals if v > Fraction(9, 10))
-    n_red = sum(1 for s in scores if is_redundant(s.id, corpus))
+    usages = [corpus.get(s.id) for s in scores]
+    n_red = sum(1 for u in usages if len(corpus.bucket(u.type_name, u.context)) >= 2)
     return DistributionStats(
         n_usages=n,
         median_s=median,

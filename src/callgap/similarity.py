@@ -4,8 +4,8 @@ Two usages are exactly-similar when they share type, context, and call-set;
 y is almost-similar to x when y shares type and context, its call-set strictly
 contains x's, and it has between 1 and k extra calls (k=1 by default). Both
 relations can be relaxed to drop the context-equality condition (type equality
-always remains); that mode matches over the per-type index instead of the
-(type, context) bucket.
+always remains); that mode matches over every usage of the type instead of the
+(type, context) bucket. ``Corpus.bucket`` is the lookup for both.
 """
 
 from __future__ import annotations
@@ -48,20 +48,12 @@ class SimilarityResult:
     a_ids: tuple[str, ...]
 
 
-def _candidate_ids(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
-    if p.use_context:
-        return corpus.bucket(q.type_name, q.context)
-    return corpus.type_index.get(q.type_name, [])
-
-
 def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
     """|E(q)|: matching corpus usages with an identical call-set, plus one
     for the subject itself."""
     count = 1
-    for uid in _candidate_ids(q, corpus, p):
-        if uid == q.exclude_id:
-            continue
-        if corpus.by_id[uid].calls == q.calls:
+    for y in corpus.bucket(q.type_name, q.context, p.use_context):
+        if y.calls == q.calls and y.id != q.exclude_id:
             count += 1
     return count
 
@@ -71,20 +63,8 @@ def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     1..k extra calls, in corpus order."""
     lo = len(q.calls) + 1
     hi = len(q.calls) + p.k
-    out = []
-    for uid in _candidate_ids(q, corpus, p):
-        if uid == q.exclude_id:
-            continue
-        m = corpus.by_id[uid].calls
-        if lo <= len(m) <= hi and q.calls <= m:
-            out.append(uid)
-    return out
-
-
-def is_redundant(usage_id: str, corpus: Corpus) -> bool:
-    """True iff at least one other usage shares this usage's (type, context)."""
-    u = corpus.get(usage_id)
-    return len(corpus.bucket(u.type_name, u.context)) >= 2
+    return [y.id for y in corpus.bucket(q.type_name, q.context, p.use_context)
+            if lo <= len(y.calls) <= hi and q.calls <= y.calls and y.id != q.exclude_id]
 
 
 def query_for(u: TypeUsage) -> Query:
@@ -95,10 +75,6 @@ def query_for(u: TypeUsage) -> Query:
 def query_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
     """E/A of a query: the one place the two relations are composed. An
     in-corpus subject contributes exactly once to e_count (via the explicit
-    +1, never via the index) when the query excludes it."""
+    +1, never via the bucket) when the query excludes it."""
     return SimilarityResult(exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p)))
 
-
-def similarity_of(usage_id: str, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
-    """E/A of an in-corpus usage, leaving the usage itself out."""
-    return query_similarity(query_for(corpus.get(usage_id)), corpus, p)

@@ -31,7 +31,7 @@ from callgap.corpus import write_corpus
 from callgap.evaluation import SyntheticSpec, brute_force_oracle, gen_synthetic, oracle_similarity
 from callgap.prediction import filter_recommendations
 from callgap.scoring import s_score
-from callgap.similarity import similarity_of
+from callgap.similarity import query_for, query_similarity
 from conftest import random_corpus, usage
 
 
@@ -90,7 +90,7 @@ def test_criterion_1_worked_example_goldens():
             usage("myBut", "Button", ctx2, {"<init>", "setText", "setColor", "setLink"}),
         ]
     )
-    indexed = similarity_of("b", three, P1)
+    indexed = query_similarity(query_for(three.get("b")), three, P1)
     pairwise = brute_force_oracle(three, P1)["b"]
     assert indexed == pairwise
     assert indexed.e_count == 2  # b itself + aBut
@@ -108,7 +108,7 @@ def test_criterion_2_oracle_equivalence_200_corpora():
         p = SimilarityParams(k=k)
         oracle = brute_force_oracle(corpus, p)
         for u in corpus:
-            r = similarity_of(u.id, corpus, p)
+            r = query_similarity(query_for(corpus.get(u.id)), corpus, p)
             assert r == oracle[u.id]
             assert s_score(r.e_count, len(r.a_ids)) == s_score(
                 oracle[u.id].e_count, len(oracle[u.id].a_ids)

@@ -1,8 +1,11 @@
 """CLI surface: output contracts, exit codes, determinism."""
 
+import contextlib
 import io
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from callgap import Corpus
 from callgap.cli import main
@@ -252,3 +255,47 @@ def test_zero_denominator_flag_says_why(tmp_path, capsys, command, flag):
     assert f"error: argument {flag}" in err
     assert "zero denominator" in err
     assert "Fraction(" not in err
+
+
+# Characters the formats treat specially: separators, comment marks, line
+# breaks that only str.splitlines sees, a byte-order mark and JSON syntax.
+_TEXT = st.text(st.sampled_from("ab,#: \t\r\x85\u2028\ufeff\"{}[]\\"), max_size=6)
+_JSON_VALUE = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | _TEXT
+               | st.lists(st.none() | st.integers(0, 2) | _TEXT, max_size=3)
+               | st.dictionaries(_TEXT, _TEXT, max_size=1))
+
+
+@st.composite
+def _corpus_line(draw, jsonl):
+    """A valid record with at most one value, or the whole line, replaced by
+    something arbitrary."""
+    rec = {"id": draw(st.sampled_from(["", "u3"])), "type": draw(st.sampled_from("AB")),
+           "context": "c()", "calls": draw(st.lists(st.sampled_from("fgh"), max_size=3)),
+           "origin": draw(st.sampled_from(["", "F.java:1"]))}
+    key = draw(st.sampled_from([*rec, "line"])) if draw(st.booleans()) else None
+    if key == "line":
+        return draw(_TEXT | st.just('{"calls": ' + "[" * 100_000))
+    if key:
+        rec[key] = draw(_JSON_VALUE if jsonl else _TEXT)
+    if jsonl:
+        return json.dumps(rec, ensure_ascii=draw(st.booleans()))
+    calls = rec["calls"] if isinstance(rec["calls"], str) else ",".join(rec["calls"])
+    return "\t".join([rec["id"], rec["type"], rec["context"], calls, rec["origin"]])
+
+
+@given(st.data(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_stats_on_fuzzed_lines_exits_cleanly(tmp_path_factory, data, jsonl, bom):
+    lines = data.draw(st.lists(_corpus_line(jsonl), max_size=5))
+    path = tmp_path_factory.getbasetemp() / ("fuzz.jsonl" if jsonl else "fuzz.tsv")
+    path.write_text("\ufeff" * bom + "\n".join(lines), encoding="utf-8", newline="")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["stats", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+    elif code == 1:
+        assert err.getvalue() == "error: corpus is empty\n"
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,9 +1,11 @@
 """Corpus parsing, writing, and bucket indexing."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from callgap import Corpus, CorpusFormatError, TypeUsage
+from callgap import Corpus, CorpusFormatError, TypeUsage, load_corpus
 from callgap.corpus import parse_corpus, parse_corpus_jsonl, write_corpus
 
 
@@ -89,6 +91,46 @@ def test_jsonl_bad_json_names_line():
         parse_corpus_jsonl("{not json\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("id", True), ("id", 1.5), ("id", ["u1"]), ("type", ["T"]), ("context", {"x": 1}),
+    ("context", 3), ("origin", False), ("calls", "f"),
+])
+def test_jsonl_value_of_wrong_kind_names_line_and_key(key, value):
+    rec = {"type": "A", "context": "c()", "calls": [], key: value}
+    with pytest.raises(CorpusFormatError, match=f"line 2: {key!r} must be "):
+        parse_corpus_jsonl('{"type": "A", "context": "c()"}\n' + json.dumps(rec) + "\n")
+
+
+def test_jsonl_null_means_missing_for_every_key():
+    c = parse_corpus_jsonl('{"id": null, "type": "A", "context": "c()", "calls": null, "origin": null}\n')
+    assert list(c) == [TypeUsage("u1", "A", "c()", frozenset(), None)]
+    with pytest.raises(CorpusFormatError, match="line 1: empty type or context field"):
+        parse_corpus_jsonl('{"type": null, "context": "c()"}\n')
+
+
+@pytest.mark.parametrize("line", ['{"type": ' + "[" * 100_000, '{"id": ' + "1" * 5000 + "}"])
+def test_jsonl_undecodable_json_names_line(line):
+    with pytest.raises(CorpusFormatError, match="line 1: invalid JSON"):
+        parse_corpus_jsonl(line + "\n")
+
+
+def test_jsonl_splits_records_at_line_feeds_only():
+    rec = {"id": "u1", "type": "A", "context": "c()", "calls": ["f"], "origin": "F.java\u2028:1"}
+    c = parse_corpus_jsonl(json.dumps(rec, ensure_ascii=False) + "\r\n" + json.dumps(rec | {"id": "u2"}))
+    assert [u.origin for u in c] == ["F.java\u2028:1", "F.java\u2028:1"]
+
+
+@pytest.mark.parametrize("name, text, ids", [
+    ("c.tsv", "u1\tA\tc()\tf\n", ["u1"]),
+    ("c.tsv", "# header\nu1\tA\tc()\tf\n", ["u1"]),
+    ("c.jsonl", '{"id": "u1", "type": "A", "context": "c()"}\n', ["u1"]),
+])
+def test_load_skips_a_byte_order_mark(tmp_path, name, text, ids):
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert [u.id for u in load_corpus(str(path))] == ids
+
+
 def test_write_sorts_calls_and_roundtrips(two_usage_corpus):
     text = write_corpus(two_usage_corpus)
     lines = text.splitlines()
@@ -155,7 +197,7 @@ def test_parse_reads_back_whatever_write_accepts(corpus):
 
 
 def test_bucket_lookup(two_usage_corpus, three_button_corpus):
-    assert two_usage_corpus.bucket("Button", "Page.createButton()") == ["b"]
+    assert [u.id for u in two_usage_corpus.bucket("Button", "Page.createButton()")] == ["b"]
     assert two_usage_corpus.bucket("Nope", "x()") == []
     assert len(three_button_corpus.bucket("Button", "Page.createButton()")) == 3
 
@@ -167,7 +209,30 @@ def test_bucket_sizes_sum_to_usage_count(three_button_corpus, sandra_corpus):
 
 def test_every_usage_in_exactly_its_own_bucket(sandra_corpus):
     for u in sandra_corpus:
-        assert u.id in sandra_corpus.bucket(u.type_name, u.context)
+        assert u.id in [y.id for y in sandra_corpus.bucket(u.type_name, u.context)]
+
+
+@given(st.lists(st.tuples(st.sampled_from("ST"), st.sampled_from("cd"),
+                          st.frozensets(st.sampled_from("fgh"))), max_size=12),
+       st.sampled_from("STU"), st.sampled_from("cde"), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_bucket_is_the_usages_a_query_is_matched_against(rows, t, c, use_context):
+    corpus = Corpus(TypeUsage(f"u{i}", *row) for i, row in enumerate(rows))
+    assert corpus.bucket(t, c, use_context) == [
+        y for y in corpus if y.type_name == t and (not use_context or y.context == c)]
+
+
+@pytest.mark.parametrize("usages, message", [
+    ([TypeUsage("u1", "A", "c()", frozenset()), TypeUsage("u2", "A", "", frozenset())],
+     "record 2: empty type or context field"),
+    ([TypeUsage("u1", "A", "c()", frozenset()), TypeUsage("u2", "B", "d()", frozenset()),
+      TypeUsage("u1", "A", "c()", frozenset())],
+     "record 3: duplicate id 'u1' (first seen on record 1)"),
+])
+def test_construction_names_the_record_that_breaks_a_rule(usages, message):
+    with pytest.raises(ValueError) as info:
+        Corpus(usages)
+    assert str(info.value) == message
 
 
 def test_duplicate_id_rejected_at_construction():

@@ -197,14 +197,14 @@ def test_gen_synthetic_deviants_score_as_planted():
     # force exactly the truth-listed usages to deviate; conformers dominate
     spec = SyntheticSpec(n_buckets=3, usages_per_bucket=20, convention_size=4, deviance_rate=0.1)
     corpus, truth = gen_synthetic(spec, 9)
-    from callgap.similarity import similarity_of
+    from callgap.similarity import query_for, query_similarity
 
     deviants = {uid for uid, _ in truth}
     for uid, dropped in truth:
-        r = similarity_of(uid, corpus, SimilarityParams())
+        r = query_similarity(query_for(corpus.get(uid)), corpus, SimilarityParams())
         # every conformer in the bucket is an almost-similar neighbor
         bucket = corpus.bucket(corpus.get(uid).type_name, corpus.get(uid).context)
-        conformers = [b for b in bucket if b not in deviants]
+        conformers = [b.id for b in bucket if b.id not in deviants]
         assert set(r.a_ids) >= set(conformers)
 
 
