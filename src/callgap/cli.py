@@ -4,6 +4,10 @@ All commands are deterministic batch operations; exit code 0 means success,
 1 an analysis-level failure (e.g. nothing to evaluate), 2 an input/IO error.
 Defaults mirror the headline configuration: t=0.9, k=1, strict comparison,
 context equality on, leave-one-out on.
+
+Only this module reads a corpus path, formats a number or writes output; the
+library modules return counts, Fractions and reports. A failing command writes
+one ``error:`` line to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -12,17 +16,7 @@ import argparse
 import sys
 
 from .corpus import Corpus, load_corpus, write_corpus
-from .evaluation import (
-    REPORT_CSV_HEADER,
-    EvalConfig,
-    SyntheticSpec,
-    evaluate,
-    format_metric as _fmt,
-    gen_synthetic,
-    report_csv_row,
-    sweep_k,
-    sweep_threshold,
-)
+from .evaluation import EvalConfig, SyntheticSpec, evaluate, gen_synthetic, sweep_k, sweep_threshold
 from .prediction import PredictionConfig, likelihoods, filter_recommendations
 from .scoring import (
     as_bin_width,
@@ -37,6 +31,19 @@ from .similarity import Query, SimilarityParams, query_for, query_similarity
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_INPUT = 2
+
+# The eval CSV columns after t,k,include_seed,use_context: (header, EvalReport field)
+_EVAL_COLUMNS = (
+    ("N", "n_queries"), ("answered", "answered_frac"), ("correct", "correct_frac"),
+    ("false", "false_frac"), ("precision", "precision"), ("recall", "recall"),
+    ("perfect", "perfect_frac"), ("avg_e", "avg_e"), ("avg_a", "avg_a"), ("avg_s", "avg_s"),
+    ("avg_r", "avg_r"), ("avg_phi", "avg_phi"), ("avg_missing", "avg_missing"),
+)
+
+
+def _fmt(value) -> str:
+    """A number as printed: 'NA' for an undefined metric, else a decimal."""
+    return "NA" if value is None else f"{float(value):.6g}"
 
 
 def _load(path: str) -> Corpus | None:
@@ -57,10 +64,7 @@ def _pred_config(args) -> PredictionConfig:
     return PredictionConfig(args.threshold, strict_comparison=not args.ge)
 
 
-def cmd_stats(args, out) -> int:
-    corpus = _load(args.corpus)
-    if corpus is None:
-        return EXIT_INPUT
+def cmd_stats(corpus: Corpus, args, out) -> int:
     if len(corpus) == 0:
         print("error: corpus is empty", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -84,10 +88,7 @@ def cmd_stats(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_score(args, out) -> int:
-    corpus = _load(args.corpus)
-    if corpus is None:
-        return EXIT_INPUT
+def cmd_score(corpus: Corpus, args, out) -> int:
     p = _sim_params(args)
     cfg = _pred_config(args)
     scores = score_all(corpus, p)
@@ -122,10 +123,7 @@ def cmd_score(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args, out) -> int:
-    corpus = _load(args.corpus)
-    if corpus is None:
-        return EXIT_INPUT
+def cmd_predict(corpus: Corpus, args, out) -> int:
     p = _sim_params(args)
     cfg = _pred_config(args)
     calls = frozenset(c.strip() for c in (args.calls or "").split(",") if c.strip())
@@ -150,16 +148,12 @@ def cmd_predict(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, out) -> int:
-    corpus = _load(args.corpus)
-    if corpus is None:
-        return EXIT_INPUT
+def cmd_eval(corpus: Corpus, args, out) -> int:
     cfg = EvalConfig(
         prediction=_pred_config(args),
         similarity=_sim_params(args),
         include_seed=args.include_seed,
     )
-    print(REPORT_CSV_HEADER, file=out)
     try:
         if args.sweep_t:
             rows = [(t, args.k, r) for t, r in sweep_threshold(corpus, cfg, args.sweep_t)]
@@ -170,8 +164,11 @@ def cmd_eval(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    print("t,k,include_seed,use_context," + ",".join(h for h, _ in _EVAL_COLUMNS), file=out)
+    run = f"{str(args.include_seed).lower()},{str(not args.no_context).lower()}"
     for t, k, report in rows:
-        print(report_csv_row(t, k, args.include_seed, not args.no_context, report), file=out)
+        cells = (getattr(report, f) for _, f in _EVAL_COLUMNS)  # N is a count, the rest metrics
+        print(f"{_fmt(t)},{k},{run}," + ",".join(str(c) if isinstance(c, int) else _fmt(c) for c in cells), file=out)
     return EXIT_OK
 
 
@@ -305,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args, out if out is not None else sys.stdout)
+    out = out if out is not None else sys.stdout
+    if args.command == "gen":
+        return cmd_gen(args, out)
+    corpus = _load(args.corpus)
+    return EXIT_INPUT if corpus is None else args.func(corpus, args, out)
 
 
 if __name__ == "__main__":

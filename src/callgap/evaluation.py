@@ -8,7 +8,8 @@ seed cannot vouch for its own degraded copy. Batch metrics follow information
 retrieval conventions; CORRECT and FALSE are fractions of *answered* queries.
 
 Also provides a seeded synthetic-corpus generator and a brute-force pairwise
-oracle used to cross-check the indexed similarity computation.
+oracle used to cross-check the indexed similarity computation. This module
+only computes ``EvalReport``s; the CLI renders them.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from .similarity import (
     SimilarityResult,
     query_for,
     query_similarity,
-)
-
-REPORT_CSV_HEADER = (
-    "t,k,include_seed,use_context,N,answered,correct,false,precision,recall,"
-    "perfect,avg_e,avg_a,avg_s,avg_r,avg_phi,avg_missing"
 )
 
 
@@ -267,35 +263,3 @@ def gen_synthetic(spec: SyntheticSpec, rng_seed: int) -> tuple[Corpus, list[tupl
                 truth.append((usage_id, dropped))
             usages.append(TypeUsage(usage_id, type_name, context, frozenset(calls)))
     return Corpus(usages), truth
-
-
-def format_metric(value) -> str:
-    """CSV rendering: 'NA' for undefined metrics, else a decimal."""
-    if value is None:
-        return "NA"
-    return f"{float(value):.6g}"
-
-
-def report_csv_row(
-    t, k: int, include_seed: bool, use_context: bool, report: EvalReport
-) -> str:
-    fields = [
-        format_metric(t),
-        str(k),
-        str(include_seed).lower(),
-        str(use_context).lower(),
-        str(report.n_queries),
-        format_metric(report.answered_frac),
-        format_metric(report.correct_frac),
-        format_metric(report.false_frac),
-        format_metric(report.precision),
-        format_metric(report.recall),
-        format_metric(report.perfect_frac),
-        format_metric(report.avg_e),
-        format_metric(report.avg_a),
-        format_metric(report.avg_s),
-        format_metric(report.avg_r),
-        format_metric(report.avg_phi),
-        format_metric(report.avg_missing),
-    ]
-    return ",".join(fields)

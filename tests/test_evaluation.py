@@ -1,11 +1,13 @@
 """Degradation protocol, batch metrics, sweeps, generator, oracle."""
 
+import io
 import random
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import callgap.cli
 import callgap.evaluation
 from callgap import Corpus, EvalConfig, PredictionConfig, SimilarityParams, evaluate
 from callgap.corpus import write_corpus
@@ -17,7 +19,6 @@ from callgap.evaluation import (
     gen_synthetic,
     generate_degraded,
     oracle_similarity,
-    report_csv_row,
     run_query,
     sweep_k,
     sweep_threshold,
@@ -114,7 +115,7 @@ def test_evaluate_errors_without_redundancy(two_usage_corpus):
         evaluate(two_usage_corpus, EvalConfig())
 
 
-def test_evaluate_undefined_metrics_when_nothing_answered():
+def test_evaluate_undefined_metrics_when_nothing_answered(tmp_path):
     c = Corpus([usage("u1", "T", "c()", {"f"}), usage("u2", "T", "c()", {"g", "h", "i"})])
     report = evaluate(c, EvalConfig())
     assert report.answered_frac == 0
@@ -122,8 +123,11 @@ def test_evaluate_undefined_metrics_when_nothing_answered():
     assert report.false_frac is None
     assert report.precision is None
     assert report.recall == 0
-    row = report_csv_row(Fraction(9, 10), 1, False, True, report)
-    assert ",NA," in row
+    path = tmp_path / "c.tsv"
+    path.write_text(write_corpus(c), encoding="utf-8")
+    out = io.StringIO()
+    assert callgap.cli.main(["eval", str(path)], out) == 0
+    assert ",NA," in out.getvalue().splitlines()[1]
 
 
 def test_evaluate_matches_oracle_similarity_path(monkeypatch):
