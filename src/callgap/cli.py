@@ -13,6 +13,7 @@ one ``error:`` line to stderr and nothing to stdout.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .corpus import Corpus, load_corpus, write_corpus
@@ -149,11 +150,7 @@ def cmd_predict(corpus: Corpus, args, out) -> int:
 
 
 def cmd_eval(corpus: Corpus, args, out) -> int:
-    cfg = EvalConfig(
-        prediction=_pred_config(args),
-        similarity=_sim_params(args),
-        include_seed=args.include_seed,
-    )
+    cfg = EvalConfig(_pred_config(args), _sim_params(args), include_seed=args.include_seed)
     try:
         if args.sweep_t:
             rows = [(t, args.k, r) for t, r in sweep_threshold(corpus, cfg, args.sweep_t)]
@@ -173,6 +170,9 @@ def cmd_eval(corpus: Corpus, args, out) -> int:
 
 
 def cmd_gen(args, out) -> int:
+    if os.path.realpath(args.out) == os.path.realpath(args.truth):
+        print(f"error: corpus and truth would both be written to {args.out}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         spec = SyntheticSpec(
             n_buckets=args.buckets,

@@ -154,17 +154,17 @@ def parse_corpus(text: str) -> Corpus:
     """Parse the tab-separated corpus line format.
 
     One record per line: ``id <TAB> type <TAB> context <TAB> calls [<TAB> origin]``,
-    calls comma-separated.
+    calls comma-separated. A leading byte-order mark is skipped.
     """
-    return _parse_records(text.splitlines(), _tsv_fields)
+    return _parse_records(text.removeprefix("\ufeff").splitlines(), _tsv_fields)
 
 
 def parse_corpus_jsonl(text: str) -> Corpus:
     """Parse the JSON-lines mirror (keys: id, type, context, calls, origin).
 
     Records are split at line feeds only: a JSON string may hold other line
-    breaks, such as U+2028, raw."""
-    return _parse_records(text.split("\n"), _jsonl_fields)
+    breaks, such as U+2028, raw. A leading byte-order mark is skipped."""
+    return _parse_records(text.removeprefix("\ufeff").split("\n"), _jsonl_fields)
 
 
 def _writable(u: TypeUsage, field: str, value: str, separators: str = "\t") -> str:
@@ -206,10 +206,18 @@ def write_corpus(corpus: Corpus) -> str:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a UTF-8 corpus file, with or without a byte-order mark,
-    dispatching on extension (.jsonl vs tab format)."""
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if str(path).endswith(".jsonl"):
-        return parse_corpus_jsonl(text)
-    return parse_corpus(text)
+    """Read a UTF-8 corpus file, dispatching on extension (.jsonl vs tab
+    format). A byte that is not UTF-8 is a CorpusFormatError naming its line."""
+    jsonl = str(path).endswith(".jsonl")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # read line ends as text mode does; no UTF-8 sequence holds CR or LF
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8") + "."  # "." holds the bad byte's place
+        lineno = head.count("\n") + 1 if jsonl else len(head.splitlines())  # as the parser counts
+        raise CorpusFormatError(
+            f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    return parse_corpus_jsonl(text) if jsonl else parse_corpus(text)

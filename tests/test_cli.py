@@ -159,11 +159,23 @@ def test_eval_sweep_k_rows(unanimous_file):
     assert avg_a == sorted(avg_a)
 
 
-def test_eval_no_redundancy_exits_1(tmp_path, two_usage_corpus):
+@pytest.mark.parametrize("flags", [[], ["--sweep-t", "0,0.5,1"], ["--sweep-k", "1,2,3"]])
+def test_eval_header_and_rows_have_the_same_fields(sandra_file, flags):
+    code, out = run_cli(["eval", sandra_file, *flags])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == (3 if flags else 1)
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))} == {17}
+
+
+def test_eval_no_redundancy_exits_1(tmp_path, capsys, two_usage_corpus):
     path = tmp_path / "two.tsv"
     path.write_text(write_corpus(two_usage_corpus), encoding="utf-8")
-    code, _ = run_cli(["eval", str(path)])
+    code, out = run_cli(["eval", str(path)])
     assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: no degraded queries") and err.count("\n") == 1
 
 
 def test_gen_roundtrip_and_determinism(tmp_path):
@@ -190,6 +202,18 @@ def test_gen_zero_deviance_empty_truth(tmp_path):
     assert code == 0
     assert (tmp_path / "t.tsv").read_text() == ""
     assert len((tmp_path / "c.tsv").read_text().splitlines()) == 6
+
+
+def test_gen_refuses_one_path_for_corpus_and_truth(tmp_path, capsys):
+    path = tmp_path / "c.tsv"
+    path.write_text("kept\n", encoding="utf-8")
+    code, out = run_cli(["gen", str(path), "--truth", str(tmp_path / "." / "c.tsv"),
+                         "--buckets", "2", "--per-bucket", "3", "--deviance", "0.5"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_gen_invalid_spec_exits_2(tmp_path):
@@ -286,16 +310,22 @@ def _corpus_line(draw, jsonl):
 @given(st.data(), st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_stats_on_fuzzed_lines_exits_cleanly(tmp_path_factory, data, jsonl, bom):
+    """stats, score and eval on fuzzed lines, perhaps holding a byte that is
+    not UTF-8: a nonzero exit writes one error line and no output."""
     lines = data.draw(st.lists(_corpus_line(jsonl), max_size=5))
+    body = ("\ufeff" * bom + "\n".join(lines)).encode("utf-8")
+    at = data.draw(st.integers(0, len(body)))
+    body = body[:at] + data.draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\x80\r"])) + body[at:]
     path = tmp_path_factory.getbasetemp() / ("fuzz.jsonl" if jsonl else "fuzz.tsv")
-    path.write_text("\ufeff" * bom + "\n".join(lines), encoding="utf-8", newline="")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, _ = run_cli(["stats", str(path)])
-    if code == 0:
-        assert err.getvalue() == ""
-    elif code == 1:
-        assert err.getvalue() == "error: corpus is empty\n"
-    else:
-        assert code == 2
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    path.write_bytes(body)
+    for command in ("stats", "score", "eval"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli([command, str(path)])
+        if code == 0:
+            assert err.getvalue() == ""
+        elif code == 1 and command == "stats":
+            assert (out, err.getvalue()) == ("", "error: corpus is empty\n")
+        else:
+            assert code in (1, 2) and out == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -129,6 +129,34 @@ def test_load_skips_a_byte_order_mark(tmp_path, name, text, ids):
     path = tmp_path / name
     path.write_text("\ufeff" + text, encoding="utf-8")
     assert [u.id for u in load_corpus(str(path))] == ids
+    parse = parse_corpus_jsonl if name.endswith(".jsonl") else parse_corpus
+    assert [u.id for u in parse("\ufeff" + text)] == ids
+
+
+@pytest.mark.parametrize("name", ["c.tsv", "c.jsonl"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\r\r\n"])
+def test_load_reads_line_ends_as_text_mode_does(tmp_path, name, end):
+    rec = {"id": "u1", "type": "A", "context": "c()", "calls": ["f"], "origin": "F.java\u2028:1"}
+    lines = ([json.dumps(rec, ensure_ascii=False), json.dumps(rec | {"id": "u2"})] if name == "c.jsonl"
+             else ["u1\tA\tc()\tf", "# note", "u2\tA\tc()\tf\tF.java:1"])
+    path = tmp_path / name
+    path.write_bytes(end.join(lines).encode("utf-8") + end.encode())
+    parse = parse_corpus_jsonl if name == "c.jsonl" else parse_corpus
+    with open(path, encoding="utf-8") as fh:  # text mode
+        assert list(load_corpus(str(path))) == list(parse(fh.read()))
+    assert [u.id for u in load_corpus(str(path))] == ["u1", "u2"]
+
+
+@pytest.mark.parametrize("name", ["c.tsv", "c.jsonl"])
+@pytest.mark.parametrize("lineno", [2, 3001])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, name, lineno):
+    line = ('{"id": "u%d", "type": "A", "context": "c()"}' if name == "c.jsonl" else "u%d\tA\tc()\tf")
+    path = tmp_path / name
+    lines = [(line % i).encode() for i in range(1, lineno)]
+    path.write_bytes(b"\r\n".join([*lines, b"\xff" + (line % lineno).encode()]) + b"\r\n")
+    assert lineno == 2 or path.stat().st_size > 8192
+    with pytest.raises(CorpusFormatError, match=f"^line {lineno}: byte 0xff is not UTF-8"):
+        load_corpus(str(path))
 
 
 def test_write_sorts_calls_and_roundtrips(two_usage_corpus):
