@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from .corpus import Corpus, load_corpus, write_corpus
 from .evaluation import EvalConfig, SyntheticSpec, evaluate, gen_synthetic, sweep_k, sweep_threshold
@@ -186,16 +187,41 @@ def cmd_gen(args, out) -> int:
         return EXIT_INPUT
     corpus, truth = gen_synthetic(spec, args.seed)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(write_corpus(corpus))
-        with open(args.truth, "w", encoding="utf-8", newline="\n") as fh:
-            for uid, dropped in truth:
-                fh.write(f"{uid}\t{dropped}\n")
+        _write_all([(args.out, write_corpus(corpus)),
+                    (args.truth, "".join(f"{uid}\t{dropped}\n" for uid, dropped in truth))])
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"wrote {len(corpus)} usages to {args.out}, {len(truth)} deviants to {args.truth}", file=out)
     return EXIT_OK
+
+
+def _write_all(texts: list[tuple[str, str]]) -> None:
+    """Write every (path, text), or none if one fails: a missing or regular file
+    is replaced by a temporary file, with its mode, once all are written; other
+    files (``os.devnull``, a FIFO, a directory) are opened directly before that."""
+    os.umask(umask := os.umask(0))  # read the umask, which open() applies to a new file
+    moves, direct = [], []  # (temporary file, target), (path, text)
+    try:
+        for path, text in texts:
+            if os.path.exists(path) and not os.path.isfile(path):
+                direct.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+            moves.append((tmp, target))
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask)
+        for path, text in direct:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, target in moves:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in moves:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _flag(convert):

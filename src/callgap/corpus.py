@@ -38,9 +38,10 @@ class Corpus:
     """Immutable, ordered collection of type-usages with bucket indexes.
 
     ``bucket_index`` maps (type_name, context) to the usages sharing that
-    pair; ``type_index`` maps type_name alone to its usages. ``bucket`` is the
-    one lookup that picks between them. Input order is preserved everywhere
-    and serves as the final tie-breaker for deterministic output.
+    pair; ``type_index`` maps type_name alone to its usages. ``bucket`` picks
+    between them by ``bucket_key``, and ``size_groups`` splits a bucket by
+    call-set size. Input order is kept everywhere as the final tie-breaker of
+    deterministic output.
 
     Every usage needs a non-empty type and context and an id of its own; a
     usage that breaks either rule is a ValueError naming its record number.
@@ -51,6 +52,7 @@ class Corpus:
         self.by_id: dict[str, TypeUsage] = {u.id: u for u in self.usages}
         self.bucket_index: dict[tuple[str, str], list[TypeUsage]] = {}
         self.type_index: dict[str, list[TypeUsage]] = {}
+        self._size_groups: dict[bool, dict] = {}
         for u in self.usages:
             self.bucket_index.setdefault((u.type_name, u.context), []).append(u)
             self.type_index.setdefault(u.type_name, []).append(u)
@@ -69,13 +71,29 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown usage id {usage_id!r}") from None
 
+    @staticmethod
+    def bucket_key(type_name: str, context: str, use_context: bool = True):
+        """What a query is matched on: (type, context), or the type alone."""
+        return (type_name, context) if use_context else type_name
+
     def bucket(self, type_name: str, context: str, use_context: bool = True) -> list[TypeUsage]:
         """The usages a query with this type and context is matched against,
         in corpus order: its (type, context) bucket, or every usage of the
         type when ``use_context`` is off."""
-        if use_context:
-            return self.bucket_index.get((type_name, context), [])
-        return self.type_index.get(type_name, [])
+        index = self.bucket_index if use_context else self.type_index
+        return index.get(self.bucket_key(type_name, context, use_context), [])
+
+    def size_groups(self, type_name: str, context: str,
+                    use_context: bool = True) -> dict[int, list[tuple[int, TypeUsage]]]:
+        """``bucket`` split by call-set size into (position in the bucket, usage)
+        lists in corpus order; made for every bucket at the first call in each mode."""
+        if use_context not in self._size_groups:
+            groups = self._size_groups[use_context] = {}
+            for key, usages in (self.bucket_index if use_context else self.type_index).items():
+                sizes = groups[key] = {}
+                for i, u in enumerate(usages):
+                    sizes.setdefault(len(u.calls), []).append((i, u))
+        return self._size_groups[use_context].get(self.bucket_key(type_name, context, use_context), {})
 
 
 def _broken_rule(usages: list[TypeUsage], where) -> str | None:

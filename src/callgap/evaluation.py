@@ -154,8 +154,8 @@ def run_query(dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig) -> QueryOutcom
 
 
 def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:
-    """Batch metrics. A batch repeats few (e, a) pairs and answer sizes, so
-    s and 1/size are built once per distinct value, not once per query."""
+    """Batch metrics. A batch repeats few (e, a) pairs, answer sizes and phi
+    denominators, so s, 1/size and phi sums are built once per distinct one."""
     n = len(outcomes)
     if n == 0:
         raise ValueError("no degraded queries: corpus has no redundant usages with calls")
@@ -169,7 +169,11 @@ def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:
     else:
         correct_frac = false_frac = precision = None
     by_ea = Counter((o.e_count, o.a_count) for o in outcomes)
-    total_phi = sum((r.likelihood for o in outcomes for r in o.recommendations), Fraction(0))
+    phi_by_den: Counter = Counter()  # likelihood numerators summed per denominator
+    for o in outcomes:
+        for r in o.recommendations:
+            phi_by_den[r.likelihood.denominator] += r.likelihood.numerator
+    total_phi = sum((Fraction(num, den) for den, num in phi_by_den.items()), Fraction(0))
     n_phi = sum(len(o.recommendations) for o in outcomes)
     return EvalReport(
         n_queries=n,

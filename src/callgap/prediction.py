@@ -48,10 +48,9 @@ def likelihoods(q: Query, a_ids: Sequence[str], corpus: Corpus) -> list[Recommen
     for uid in a_ids:
         for m in corpus.by_id[uid].calls - q.calls:
             support[m] = support.get(m, 0) + 1
-    n = len(a_ids)
-    recs = [Recommendation(m, Fraction(c, n), c) for m, c in support.items()]
-    recs.sort(key=lambda r: (-r.likelihood, r.method))
-    return recs
+    n = len(a_ids)  # every candidate shares it, so support orders as likelihood does
+    ranked = sorted(support.items(), key=lambda mc: (-mc[1], mc[0]))
+    return [Recommendation(m, Fraction(c, n), c) for m, c in ranked]
 
 
 def filter_recommendations(

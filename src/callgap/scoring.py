@@ -61,9 +61,13 @@ def s_score(e_count: int, a_count: int) -> Fraction:
 def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
     """Score every usage; sorted by score descending, ties by id ascending."""
     scored = []
+    memo: dict[tuple, tuple] = {}  # usages alike in this key share leave-self-out E and A
     for u in corpus:
-        r = query_similarity(query_for(u), corpus, p)
-        scored.append(ScoredUsage(u.id, s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids))
+        key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
+        if key not in memo:
+            r = query_similarity(query_for(u), corpus, p)
+            memo[key] = (s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids)
+        scored.append(ScoredUsage(u.id, *memo[key]))
     scored.sort(key=lambda s: (-s.s_score, s.id))
     return scored
 

@@ -5,7 +5,8 @@ y is almost-similar to x when y shares type and context, its call-set strictly
 contains x's, and it has between 1 and k extra calls (k=1 by default). Both
 relations can be relaxed to drop the context-equality condition (type equality
 always remains); that mode matches over every usage of the type instead of the
-(type, context) bucket. ``Corpus.bucket`` is the lookup for both.
+(type, context) bucket. E(x) can hold only usages with |x| calls and A(x) only
+ones with |x|+1..|x|+k, so both walk those sizes of ``Corpus.size_groups``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
     """|E(q)|: matching corpus usages with an identical call-set, plus one
     for the subject itself."""
     count = 1
-    for y in corpus.bucket(q.type_name, q.context, p.use_context):
+    for _, y in corpus.size_groups(q.type_name, q.context, p.use_context).get(len(q.calls), ()):
         if y.calls == q.calls and y.id != q.exclude_id:
             count += 1
     return count
@@ -61,10 +62,11 @@ def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
 def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     """Ids of A(q): matching usages whose call-set strictly contains q's with
     1..k extra calls, in corpus order."""
-    lo = len(q.calls) + 1
-    hi = len(q.calls) + p.k
-    return [y.id for y in corpus.bucket(q.type_name, q.context, p.use_context)
-            if lo <= len(y.calls) <= hi and q.calls <= y.calls and y.id != q.exclude_id]
+    groups = corpus.size_groups(q.type_name, q.context, p.use_context)
+    n = len(q.calls)
+    hits = [(i, y.id) for size in range(n + 1, n + p.k + 1) for i, y in groups.get(size, ())
+            if q.calls <= y.calls and y.id != q.exclude_id]
+    return [uid for _, uid in sorted(hits)]
 
 
 def query_for(u: TypeUsage) -> Query:

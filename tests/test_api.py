@@ -92,7 +92,8 @@ def test_bench_reads_these_result_attributes():
 
 
 def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
-    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"} if i else {"a"}) for i in range(5)])
+    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"} if i else {"a"}) for i in range(5)]
+                    + [usage("u5", "T", "d()", {"a", "b"})])
     path = tmp_path / "c.tsv"
     path.write_text(write_corpus(corpus), encoding="utf-8")
     calls = []
@@ -104,5 +105,11 @@ def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
 
     monkeypatch.setattr(callgap.similarity, "almost_similar", counting)
     monkeypatch.setattr(callgap.cli, "almost_similar", counting, raising=False)
+    # one per distinct (type, context, call-set), all from score_all; the
+    # context drops out of the key with --no-context
     assert callgap.cli.main(["score", str(path)], out=io.StringIO()) == 0
-    assert len(calls) == len(corpus)  # one per usage, all from score_all
+    assert [(q.context, q.calls) for q in calls] == [
+        ("c()", frozenset("a")), ("c()", frozenset("ab")), ("d()", frozenset("ab"))]
+    calls.clear()
+    assert callgap.cli.main(["score", str(path), "--no-context"], out=io.StringIO()) == 0
+    assert [q.calls for q in calls] == [frozenset("a"), frozenset("ab")]

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import stat
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +217,70 @@ def test_gen_refuses_one_path_for_corpus_and_truth(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("blocked", ["corpus", "truth"])
+@pytest.mark.parametrize("why", ["missing directory", "is a directory"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_writes_neither_file_when_one_cannot_be_written(tmp_path, capsys, blocked, why, existing):
+    paths = {"corpus": tmp_path / "c.tsv", "truth": tmp_path / "t.tsv"}
+    if why == "missing directory":
+        paths[blocked] = tmp_path / "nodir" / paths[blocked].name
+    else:
+        paths[blocked].mkdir()
+    if existing:
+        for path in paths.values():
+            if path.parent.exists() and not path.is_dir():
+                path.write_bytes(b"kept\r\n")
+    before = sorted(tmp_path.iterdir())
+    code, out = run_cli(["gen", str(paths["corpus"]), "--truth", str(paths["truth"]),
+                         "--buckets", "2", "--per-bucket", "3", "--deviance", "0.5"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before  # no file created, no temporary file left
+    for path in paths.values():
+        if path.is_file():
+            assert path.read_bytes() == b"kept\r\n"
+    assert [p.name for p in tmp_path.glob("*/*")] == []
+
+
+@pytest.mark.parametrize("devnull", ["corpus", "truth"])
+def test_gen_writes_a_target_that_is_not_a_regular_file_in_place(tmp_path, monkeypatch, devnull):
+    real_replace, real_mkstemp = os.replace, tempfile.mkstemp
+
+    def replace(src, dst):
+        assert not os.path.exists(dst) or os.path.isfile(dst), f"would replace {dst}"
+        real_replace(src, dst)
+
+    def mkstemp(dir):
+        assert os.path.samefile(dir, tmp_path), f"would create a file in {dir}"
+        return real_mkstemp(dir=dir)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    paths = {"corpus": str(tmp_path / "c.tsv"), "truth": str(tmp_path / "t.tsv"), devnull: os.devnull}
+    code, out = run_cli(["gen", paths["corpus"], "--truth", paths["truth"],
+                         "--buckets", "2", "--per-bucket", "3", "--deviance", "0.5"])
+    assert code == 0 and out.startswith("wrote 6 usages")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv" if devnull == "corpus" else "c.tsv"]
+
+
+def test_gen_keeps_the_mode_of_a_file_it_replaces(tmp_path):
+    corpus, truth = tmp_path / "c.tsv", tmp_path / "t.tsv"
+    corpus.write_text("kept\n", encoding="utf-8")
+    corpus.chmod(0o640)
+    other = tmp_path / f"c.tsv.{os.getpid()}.tmp"  # a file of the user's beside the target
+    other.write_text("mine\n", encoding="utf-8")
+    umask = os.umask(0)
+    os.umask(umask)
+    code, _ = run_cli(["gen", str(corpus), "--truth", str(truth), "--buckets", "2", "--per-bucket", "3"])
+    assert code == 0
+    assert len(corpus.read_text(encoding="utf-8").splitlines()) == 6
+    assert stat.S_IMODE(corpus.stat().st_mode) == 0o640
+    assert stat.S_IMODE(truth.stat().st_mode) == 0o666 & ~umask
+    assert other.read_text(encoding="utf-8") == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.tsv", "t.tsv", other.name])
 
 
 def test_gen_invalid_spec_exits_2(tmp_path):

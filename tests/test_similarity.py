@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from callgap import Query, SimilarityParams, almost_similar, exactly_similar
-from callgap.evaluation import brute_force_oracle
+from callgap import Corpus, Query, SimilarityParams, almost_similar, exactly_similar
+from callgap.evaluation import brute_force_oracle, oracle_similarity
 from callgap.similarity import query_for, query_similarity
-from conftest import random_corpus
+from conftest import random_corpus, usage
 
 
 P1 = SimilarityParams()
@@ -134,3 +134,50 @@ def test_redundancy_matches_pairwise_definition(seed):
             for y in corpus
         )
         assert (bucket_size(corpus, u.id) >= 2) == pairwise
+
+
+HOT_VOCAB = [f"m{i}" for i in range(8)]
+HOT_CALLS = st.frozensets(st.sampled_from(HOT_VOCAB), max_size=7)
+
+
+@st.composite
+def hot_corpus_and_queries(draw):
+    """1-2 buckets of up to 200 usages over a vocabulary of 8 calls (the
+    buckets may share a type, so --no-context merges them), then external
+    queries asked in a drawn order at k 1..3, with and without context."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["T0", "T1"]), st.sampled_from(["c0()", "c1()"])),
+                         min_size=1, max_size=2, unique=True))
+    usages = []
+    for b, (t, c) in enumerate(keys):
+        n = draw(st.integers(0, 200))
+        usages += [usage(f"b{b}u{i}", t, c, calls)
+                   for i, calls in enumerate(draw(st.lists(HOT_CALLS, min_size=n, max_size=n)))]
+    corpus = Corpus(usages)
+    asked = []
+    for _ in range(draw(st.integers(1, 12))):
+        t, c = draw(st.sampled_from(keys + [("Unknown", "c0()"), (keys[0][0], "other()")]))
+        bucket = corpus.bucket(t, c)
+        if bucket and draw(st.booleans()):  # one call short of a usage's call-set
+            calls = draw(st.sampled_from(bucket)).calls
+            calls -= {draw(st.sampled_from(sorted(calls)))} if calls else set()
+        else:  # any call-set, empty or absent from the corpus included
+            calls = draw(HOT_CALLS | st.just(frozenset({"absent"})))
+        kind = draw(st.sampled_from(["none", "same calls", "other calls", "other bucket", "unknown"]))
+        pool = {"none": [None], "unknown": ["nope"],
+                "same calls": [y.id for y in bucket if y.calls == calls],
+                "other calls": [y.id for y in bucket if y.calls != calls],
+                "other bucket": [y.id for y in corpus if (y.type_name, y.context) != (t, c)]}[kind]
+        exclude_id = draw(st.sampled_from(pool)) if pool else None
+        p = SimilarityParams(k=draw(st.integers(1, 3)), use_context=draw(st.booleans()))
+        asked.append((Query(t, c, calls, exclude_id), p))
+    return corpus, asked
+
+
+@given(hot_corpus_and_queries())
+@settings(max_examples=60, deadline=None)
+def test_external_queries_match_oracle_on_hot_buckets(case):
+    corpus, asked = case
+    for q, p in asked:
+        want = oracle_similarity(q, corpus, p)
+        assert exactly_similar(q, corpus, p) == want.e_count, (q, p)
+        assert almost_similar(q, corpus, p) == list(want.a_ids), (q, p)
