@@ -100,9 +100,13 @@ def cmd_score(corpus: Corpus, args, out) -> int:
     human = args.format == "human"
     if not human:
         print("id,type,context,origin,score,e,a,recommendations", file=out)
+    recs_of: dict[tuple, list] = {}  # rows alike in score_all's key share a_ids and recommendations
     for s in rows:
         u = corpus.get(s.id)
-        recs = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
+        key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
+        if key not in recs_of:
+            recs_of[key] = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
+        recs = recs_of[key]
         if human:
             origin = f"  [{u.origin}]" if u.origin else ""
             print(

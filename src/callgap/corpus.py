@@ -34,14 +34,17 @@ class TypeUsage:
     origin: str | None = None
 
 
+_NO_BUCKET: tuple = ([], {}, {}, {})
+
+
 class Corpus:
     """Immutable, ordered collection of type-usages with bucket indexes.
 
     ``bucket_index`` maps (type_name, context) to the usages sharing that
     pair; ``type_index`` maps type_name alone to its usages. ``bucket`` picks
-    between them by ``bucket_key``, and ``size_groups`` splits a bucket by
-    call-set size. Input order is kept everywhere as the final tie-breaker of
-    deterministic output.
+    between them by ``bucket_key``, and ``callset_index`` indexes a bucket by
+    call-set, by call and by call-set size. Input order is kept everywhere as
+    the final tie-breaker of deterministic output.
 
     Every usage needs a non-empty type and context and an id of its own; a
     usage that breaks either rule is a ValueError naming its record number.
@@ -52,7 +55,7 @@ class Corpus:
         self.by_id: dict[str, TypeUsage] = {u.id: u for u in self.usages}
         self.bucket_index: dict[tuple[str, str], list[TypeUsage]] = {}
         self.type_index: dict[str, list[TypeUsage]] = {}
-        self._size_groups: dict[bool, dict] = {}
+        self._callsets: dict[bool, dict] = {}
         for u in self.usages:
             self.bucket_index.setdefault((u.type_name, u.context), []).append(u)
             self.type_index.setdefault(u.type_name, []).append(u)
@@ -83,17 +86,27 @@ class Corpus:
         index = self.bucket_index if use_context else self.type_index
         return index.get(self.bucket_key(type_name, context, use_context), [])
 
-    def size_groups(self, type_name: str, context: str,
-                    use_context: bool = True) -> dict[int, list[tuple[int, TypeUsage]]]:
-        """``bucket`` split by call-set size into (position in the bucket, usage)
-        lists in corpus order; made for every bucket at the first call in each mode."""
-        if use_context not in self._size_groups:
-            groups = self._size_groups[use_context] = {}
+    def callset_index(self, type_name: str, context: str,
+                      use_context: bool = True) -> tuple[list[TypeUsage], dict, dict, dict]:
+        """``bucket`` and its call-set index, as (bucket, by_set, masks, where):
+        by_set maps each call-set to its positions in the bucket, ascending;
+        masks maps each call and each call-set size to an int whose bit i is
+        set when position i has it; where maps the id of each usage in the
+        bucket to its position. Made for every bucket at the first call in
+        each mode."""
+        index = self._callsets.get(use_context)
+        if index is None:
+            index = self._callsets[use_context] = {}
             for key, usages in (self.bucket_index if use_context else self.type_index).items():
-                sizes = groups[key] = {}
+                by_set, masks = {}, {}
                 for i, u in enumerate(usages):
-                    sizes.setdefault(len(u.calls), []).append((i, u))
-        return self._size_groups[use_context].get(self.bucket_key(type_name, context, use_context), {})
+                    by_set.setdefault(u.calls, []).append(i)
+                for calls, at in by_set.items():
+                    bits = sum(1 << i for i in at)
+                    for m in (*calls, len(calls)):
+                        masks[m] = masks.get(m, 0) | bits
+                index[key] = (usages, by_set, masks, {u.id: i for i, u in enumerate(usages)})
+        return index.get(self.bucket_key(type_name, context, use_context), _NO_BUCKET)
 
 
 def _broken_rule(usages: list[TypeUsage], where) -> str | None:

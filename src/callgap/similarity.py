@@ -5,8 +5,10 @@ y is almost-similar to x when y shares type and context, its call-set strictly
 contains x's, and it has between 1 and k extra calls (k=1 by default). Both
 relations can be relaxed to drop the context-equality condition (type equality
 always remains); that mode matches over every usage of the type instead of the
-(type, context) bucket. E(x) can hold only usages with |x| calls and A(x) only
-ones with |x|+1..|x|+k, so both walk those sizes of ``Corpus.size_groups``.
+(type, context) bucket. Both read ``Corpus.callset_index``: |E(x)| is the
+number of bucket positions holding x's call-set, and A(x) is the set bits of
+the |x|+1..|x|+k size masks ANDed with the mask of each call of x, read from
+low to high, which is corpus order.
 """
 
 from __future__ import annotations
@@ -52,21 +54,33 @@ class SimilarityResult:
 def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
     """|E(q)|: matching corpus usages with an identical call-set, plus one
     for the subject itself."""
-    count = 1
-    for _, y in corpus.size_groups(q.type_name, q.context, p.use_context).get(len(q.calls), ()):
-        if y.calls == q.calls and y.id != q.exclude_id:
-            count += 1
-    return count
+    bucket, by_set, _, where = corpus.callset_index(q.type_name, q.context, p.use_context)
+    calls = frozenset(q.calls)
+    excluded = where.get(q.exclude_id)
+    return 1 + len(by_set.get(calls, ())) - (excluded is not None and bucket[excluded].calls == calls)
 
 
 def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     """Ids of A(q): matching usages whose call-set strictly contains q's with
     1..k extra calls, in corpus order."""
-    groups = corpus.size_groups(q.type_name, q.context, p.use_context)
+    bucket, _, masks, where = corpus.callset_index(q.type_name, q.context, p.use_context)
     n = len(q.calls)
-    hits = [(i, y.id) for size in range(n + 1, n + p.k + 1) for i, y in groups.get(size, ())
-            if q.calls <= y.calls and y.id != q.exclude_id]
-    return [uid for _, uid in sorted(hits)]
+    hits = 0
+    for size in range(n + 1, n + p.k + 1):
+        hits |= masks.get(size, 0)
+    for m in q.calls:
+        if not hits:
+            return []
+        hits &= masks.get(m, 0)
+    excluded = where.get(q.exclude_id)
+    if excluded is not None:
+        hits &= ~(1 << excluded)
+    bits = bin(hits)[:1:-1]  # character i is bit i
+    ids, i = [], bits.find("1")
+    while i >= 0:
+        ids.append(bucket[i].id)
+        i = bits.find("1", i + 1)
+    return ids
 
 
 def query_for(u: TypeUsage) -> Query:

@@ -113,3 +113,26 @@ def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
     calls.clear()
     assert callgap.cli.main(["score", str(path), "--no-context"], out=io.StringIO()) == 0
     assert [q.calls for q in calls] == [frozenset("a"), frozenset("ab")]
+
+
+def test_score_command_ranks_candidates_once_per_key(tmp_path, monkeypatch):
+    corpus = Corpus([usage(f"u{i}", "T", "c()", {"a", "b"} if i else {"a"}) for i in range(5)]
+                    + [usage("u5", "T", "d()", {"a"})])
+    path = tmp_path / "c.tsv"
+    path.write_text(write_corpus(corpus), encoding="utf-8")
+    calls = []
+    real = callgap.cli.likelihoods
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    # rows alike in (type, context, call-set) share score_all's a_ids and so
+    # their recommendations; the context drops out of that key with --no-context
+    monkeypatch.setattr(callgap.cli, "likelihoods", counting)
+    assert callgap.cli.main(["score", str(path)], out=io.StringIO()) == 0
+    assert sorted((q.context, "".join(sorted(q.calls))) for q in calls) == [
+        ("c()", "a"), ("c()", "ab"), ("d()", "a")]
+    calls.clear()
+    assert callgap.cli.main(["score", str(path), "--no-context"], out=io.StringIO()) == 0
+    assert sorted("".join(sorted(q.calls)) for q in calls) == ["a", "ab"]

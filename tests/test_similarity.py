@@ -54,6 +54,15 @@ def test_almost_similar_no_superset(two_usage_corpus):
     assert almost_similar(q, two_usage_corpus, P1) == []
 
 
+def test_a_plain_set_query_matches_as_its_frozenset():
+    corpus = Corpus([usage("u0", "T", "c", {"a", "b"}), usage("u1", "T", "c", {"a", "b"}),
+                     usage("u2", "T", "c", {"a", "b", "c"})])
+    q = Query("T", "c", {"a", "b"})
+    assert exactly_similar(q, corpus, P1) == 3
+    assert almost_similar(q, corpus, P1) == ["u2"]
+    assert exactly_similar(Query("T", "c", {"a", "b"}, exclude_id="u1"), corpus, P1) == 2
+
+
 def bucket_size(corpus, uid):
     u = corpus.get(uid)
     return len(corpus.bucket(u.type_name, u.context))
@@ -181,3 +190,18 @@ def test_external_queries_match_oracle_on_hot_buckets(case):
         want = oracle_similarity(q, corpus, p)
         assert exactly_similar(q, corpus, p) == want.e_count, (q, p)
         assert almost_similar(q, corpus, p) == list(want.a_ids), (q, p)
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+def test_callset_index_size_does_not_grow_with_the_bucket(use_context):
+    # a hot bucket of n, 2n and 4n usages over a fixed 8-call vocabulary: the
+    # masks stay at most one per distinct call plus one per distinct size, and
+    # by_set holds each bucket position exactly once
+    for n in (150, 300, 600):
+        rng = random.Random(n)
+        corpus = Corpus([usage(f"u{i}", "T", "c()", rng.sample(HOT_VOCAB, rng.randint(0, 7)))
+                         for i in range(n)])
+        _, by_set, masks, where = corpus.callset_index("T", "c()", use_context)
+        calls = set().union(*by_set)
+        assert len(masks) <= len(calls) + len({len(c) for c in by_set}) <= len(HOT_VOCAB) + 8
+        assert sorted(i for at in by_set.values() for i in at) == list(range(n)) == sorted(where.values())
