@@ -7,15 +7,16 @@ context equality on, leave-one-out on.
 
 Only this module reads a corpus path, formats a number or writes output; the
 library modules return counts, Fractions and reports. A failing command writes
-one ``error:`` line to stderr and nothing to stdout.
+one ``error:`` line to stderr and nothing to stdout. A command whose reader
+closes stdout stops with one such line and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
-import tempfile
 
 from .corpus import Corpus, load_corpus, write_corpus
 from .evaluation import EvalConfig, SyntheticSpec, evaluate, gen_synthetic, sweep_k, sweep_threshold
@@ -100,10 +101,10 @@ def cmd_score(corpus: Corpus, args, out) -> int:
     human = args.format == "human"
     if not human:
         print("id,type,context,origin,score,e,a,recommendations", file=out)
-    recs_of: dict[tuple, list] = {}  # rows alike in score_all's key share a_ids and recommendations
+    recs_of: dict[tuple, list] = {}  # likelihoods reads only the calls and a_ids, besides the corpus
     for s in rows:
         u = corpus.get(s.id)
-        key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
+        key = (u.calls, s.a_ids)
         if key not in recs_of:
             recs_of[key] = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
         recs = recs_of[key]
@@ -204,7 +205,6 @@ def _write_all(texts: list[tuple[str, str]]) -> None:
     """Write every (path, text), or none if one fails: a missing or regular file
     is replaced by a temporary file, with its mode, once all are written; other
     files (``os.devnull``, a FIFO, a directory) are opened directly before that."""
-    os.umask(umask := os.umask(0))  # read the umask, which open() applies to a new file
     moves, direct = [], []  # (temporary file, target), (path, text)
     try:
         for path, text in texts:
@@ -212,11 +212,14 @@ def _write_all(texts: list[tuple[str, str]]) -> None:
                 direct.append((path, text))
                 continue
             target = os.path.realpath(path)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+            tmp = os.path.join(os.path.dirname(target), f".callgap-{os.urandom(8).hex()}.tmp")
+            # mode 0o666 less the umask, as open(target, "w") would create it
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             moves.append((tmp, target))
             with open(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-            os.chmod(tmp, os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
         for path, text in direct:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
@@ -333,10 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
-    if args.command == "gen":
-        return cmd_gen(args, out)
-    corpus = _load(args.corpus)
-    return EXIT_INPUT if corpus is None else args.func(corpus, args, out)
+    try:
+        if args.command == "gen":
+            code = cmd_gen(args, out)
+        else:
+            corpus = _load(args.corpus)
+            code = EXIT_INPUT if corpus is None else args.func(corpus, args, out)
+        out.flush()  # a reader that left shows here, not in the flush at exit
+        return code
+    except BrokenPipeError as exc:  # the reader left, as in `callgap score c.tsv | head -1`
+        if out is sys.stdout:  # point its descriptor at devnull, so the flush at exit is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -7,9 +7,8 @@ the corpus, by default with the seed usage excluded (leave-one-out) so the
 seed cannot vouch for its own degraded copy. Batch metrics follow information
 retrieval conventions; CORRECT and FALSE are fractions of *answered* queries.
 
-Also provides a seeded synthetic-corpus generator and a brute-force pairwise
-oracle used to cross-check the indexed similarity computation. This module
-only computes ``EvalReport``s; the CLI renders them.
+Also provides a seeded synthetic-corpus generator. This module only computes
+``EvalReport``s; the CLI renders them.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from .prediction import (
     likelihoods,
 )
 from .scoring import s_score
-from .similarity import (
-    Query,
-    SimilarityParams,
-    SimilarityResult,
-    query_for,
-    query_similarity,
-)
+from .similarity import Query, SimilarityParams, query_similarity
 
 
 @dataclass(frozen=True)
@@ -100,35 +93,6 @@ class EvalReport:
     avg_r: Fraction
     avg_phi: Fraction | None
     avg_missing: Fraction
-
-
-def oracle_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
-    """Literal definition-by-definition scan of the whole corpus, no index.
-
-    Slow on purpose; exists so every indexed result can be cross-checked.
-    """
-    e = 1
-    a = []
-    lo, hi = len(q.calls) + 1, len(q.calls) + p.k
-    for y in corpus:
-        if y.id == q.exclude_id or y.type_name != q.type_name:
-            continue
-        if p.use_context and y.context != q.context:
-            continue
-        if y.calls == q.calls:
-            e += 1
-        elif lo <= len(y.calls) <= hi and q.calls <= y.calls:
-            a.append(y.id)
-    return SimilarityResult(e, tuple(a))
-
-
-def brute_force_oracle(
-    corpus: Corpus, p: SimilarityParams, cap: int = 1000
-) -> dict[str, SimilarityResult]:
-    """Pairwise E/A for every in-corpus usage, by direct definition."""
-    if len(corpus) > cap:
-        raise ValueError(f"corpus size {len(corpus)} exceeds oracle cap {cap}")
-    return {u.id: oracle_similarity(query_for(u), corpus, p) for u in corpus}
 
 
 def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:

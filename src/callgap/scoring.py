@@ -73,8 +73,12 @@ def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
 
 
 def distribution_stats(scores: list[ScoredUsage], corpus: Corpus) -> DistributionStats:
+    """Summary of ``scores``, which holds one row per usage of ``corpus`` (what
+    ``score_all`` returns); redundancy is counted from the corpus's buckets."""
     if not scores:
         raise ValueError("cannot summarize an empty score list")
+    if len(scores) != len(corpus):
+        raise ValueError(f"need one score per usage: got {len(scores)} for {len(corpus)} usages")
     n = len(scores)
     vals = sorted(s.s_score for s in scores)
     median = vals[(n - 1) // 2]
@@ -82,8 +86,7 @@ def distribution_stats(scores: list[ScoredUsage], corpus: Corpus) -> Distributio
     below = sum(1 for v in vals if v < Fraction(1, 10))
     above5 = sum(1 for v in vals if v > Fraction(1, 2))
     above9 = sum(1 for v in vals if v > Fraction(9, 10))
-    usages = [corpus.get(s.id) for s in scores]
-    n_red = sum(1 for u in usages if len(corpus.bucket(u.type_name, u.context)) >= 2)
+    n_red = sum(len(b) for b in corpus.bucket_index.values() if len(b) >= 2)
     return DistributionStats(
         n_usages=n,
         median_s=median,

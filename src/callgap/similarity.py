@@ -66,7 +66,9 @@ def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     bucket, _, masks, where = corpus.callset_index(q.type_name, q.context, p.use_context)
     n = len(q.calls)
     hits = 0
-    for size in range(n + 1, n + p.k + 1):
+    # No call-set has more calls than its bucket has distinct calls, and masks
+    # holds one entry per distinct call, so a k past len(masks) adds no size.
+    for size in range(n + 1, n + min(p.k, len(masks)) + 1):
         hits |= masks.get(size, 0)
     for m in q.calls:
         if not hits:

@@ -28,11 +28,12 @@ from callgap import (
 )
 from callgap.cli import main as cli_main
 from callgap.corpus import write_corpus
-from callgap.evaluation import SyntheticSpec, brute_force_oracle, gen_synthetic, oracle_similarity
+from callgap.evaluation import SyntheticSpec, gen_synthetic
 from callgap.prediction import filter_recommendations
 from callgap.scoring import s_score
 from callgap.similarity import query_for, query_similarity
 from conftest import random_corpus, usage
+from oracle import brute_force_oracle, oracle_similarity
 
 
 P1 = SimilarityParams()

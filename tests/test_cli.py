@@ -5,7 +5,9 @@ import io
 import json
 import os
 import stat
-import tempfile
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,22 @@ from callgap.cli import main
 from callgap.corpus import write_corpus
 from conftest import usage
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def cli_process(argv, run=subprocess.Popen, **kwargs):
+    """``python -m callgap.cli argv`` in a child process, importing this checkout's
+    callgap, with stdout buffered as in a plain run."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return run([sys.executable, "-m", "callgap.cli", *argv], env=env, text=True,
+               stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
 
 @pytest.fixture
@@ -247,18 +260,19 @@ def test_gen_writes_neither_file_when_one_cannot_be_written(tmp_path, capsys, bl
 
 @pytest.mark.parametrize("devnull", ["corpus", "truth"])
 def test_gen_writes_a_target_that_is_not_a_regular_file_in_place(tmp_path, monkeypatch, devnull):
-    real_replace, real_mkstemp = os.replace, tempfile.mkstemp
+    real_replace, real_open = os.replace, os.open
 
     def replace(src, dst):
         assert not os.path.exists(dst) or os.path.isfile(dst), f"would replace {dst}"
         real_replace(src, dst)
 
-    def mkstemp(dir):
-        assert os.path.samefile(dir, tmp_path), f"would create a file in {dir}"
-        return real_mkstemp(dir=dir)
+    def open_(path, flags, *args, **kwargs):
+        dir = os.path.dirname(path)
+        assert not flags & os.O_CREAT or os.path.samefile(dir, tmp_path), f"would create a file in {dir}"
+        return real_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(os, "replace", replace)
-    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "open", open_)
     paths = {"corpus": str(tmp_path / "c.tsv"), "truth": str(tmp_path / "t.tsv"), devnull: os.devnull}
     code, out = run_cli(["gen", paths["corpus"], "--truth", paths["truth"],
                          "--buckets", "2", "--per-bucket", "3", "--deviance", "0.5"])
@@ -281,6 +295,24 @@ def test_gen_keeps_the_mode_of_a_file_it_replaces(tmp_path):
     assert stat.S_IMODE(truth.stat().st_mode) == 0o666 & ~umask
     assert other.read_text(encoding="utf-8") == "mine\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.tsv", "t.tsv", other.name])
+
+
+def test_gen_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    umask = os.umask(0)
+    os.umask(umask)
+
+    def no_umask(mask):
+        raise AssertionError("gen set the umask of the whole process")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    corpus, truth = tmp_path / "c.tsv", tmp_path / "t.tsv"
+    truth.write_text("kept\n", encoding="utf-8")
+    truth.chmod(0o604)
+    code, _ = run_cli(["gen", str(corpus), "--truth", str(truth), "--buckets", "2", "--per-bucket", "3"])
+    assert code == 0
+    assert stat.S_IMODE(corpus.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(truth.stat().st_mode) == 0o604
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv", "t.tsv"]
 
 
 def test_gen_invalid_spec_exits_2(tmp_path):
@@ -332,6 +364,51 @@ def test_bad_flag_value_exits_2_before_loading(tmp_path, capsys, argv):
     assert buf.getvalue() == "" and captured.out == ""
     assert "Traceback" not in captured.err
     assert f"error: argument {flags[-2]}" in captured.err  # the last flag given
+
+
+def test_query_cost_stops_growing_with_k(tmp_path):
+    path = tmp_path / "three.tsv"
+    path.write_text("a\tT\tc()\tx,y\nb\tT\tc()\tx,y,z\nc\tT\tc()\tx\n", encoding="utf-8")
+    commands = [
+        ["eval", str(path), "--k", "{k}"],
+        ["eval", str(path), "--sweep-k", "1,{k}"],
+        ["score", str(path), "--k", "{k}"],
+        ["predict", str(path), "--type", "T", "--context", "c()", "--calls", "x", "--k", "{k}"],
+    ]
+
+    def run(argv, k):
+        proc = cli_process([a.format(k=k) for a in argv], run=subprocess.run, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        out = proc.stdout
+        if argv[0] == "eval":  # drop the k column
+            out = "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != 1)
+                            for line in out.splitlines())
+        return out
+
+    for argv in commands:
+        assert run(argv, 10**12) == run(argv, 64), argv
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_closed_stdout_is_one_error_line(tmp_path, short):
+    """A long output fails in a write, once the pipe is full; a short one
+    would fail only in the interpreter's flush at exit."""
+    corpus = str(tmp_path / "c.tsv")
+    code, _ = run_cli(["gen", corpus, "--truth", str(tmp_path / "t.tsv"), "--buckets", "2" if short else "500",
+                       "--per-bucket", "10", "--deviance", "0.2", "--seed", "3"])
+    assert code == 0
+    assert len(run_cli(["score", corpus])[1]) >= (0 if short else 100_000)  # more than a pipe holds
+    proc = cli_process(["score", corpus])
+    if not short:
+        assert proc.stdout.readline().startswith("id,")
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

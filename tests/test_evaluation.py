@@ -15,16 +15,15 @@ from callgap.evaluation import (
     EvalReport,
     SyntheticSpec,
     aggregate,
-    brute_force_oracle,
     gen_synthetic,
     generate_degraded,
-    oracle_similarity,
     run_query,
     sweep_k,
     sweep_threshold,
 )
 from callgap.scoring import s_score
 from conftest import random_corpus, usage
+from oracle import brute_force_oracle, oracle_similarity
 
 
 def unanimous_corpus(n=10, calls=("a", "b", "c")):

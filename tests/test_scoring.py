@@ -91,6 +91,12 @@ def test_distribution_stats_empty_rejected(two_usage_corpus):
         distribution_stats([], two_usage_corpus)
 
 
+def test_distribution_stats_rejects_a_partial_score_list(sandra_corpus):
+    scores = score_all(sandra_corpus, P1)
+    with pytest.raises(ValueError):
+        distribution_stats(scores[1:], sandra_corpus)
+
+
 def test_distribution_stats_match_bruteforce_recount():
     corpus = random_corpus(random.Random(7), max_usages=80)
     scores = score_all(corpus, P1)

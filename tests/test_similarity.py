@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from callgap import Corpus, Query, SimilarityParams, almost_similar, exactly_similar
-from callgap.evaluation import brute_force_oracle, oracle_similarity
 from callgap.similarity import query_for, query_similarity
 from conftest import random_corpus, usage
+from oracle import brute_force_oracle, oracle_similarity
 
 
 P1 = SimilarityParams()

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Byte-identity digest of the CLI: one line per command, giving its argv,
+its exit code and the sha256 of its stdout.
+
+    python3 tools/cli_digest.py [CHECKOUT] > digest.txt
+
+callgap is imported from CHECKOUT/src (default: the checkout holding this
+script), and every command runs in-process through ``callgap.cli.main``. The
+192 commands are 12 shapes, which use every subcommand but ``gen`` and every
+flag, each run with and without ``--no-context`` on 8 corpora: the
+acceptance suite's criterion-7 corpus (made with ``callgap gen``), the
+Sandra corpus, and the three benchmark workloads at seeds 1 and 7 (made with
+this checkout's ``bench/workloads.py``). Corpora are written to a temporary
+directory and named relative to it, so two checkouts print the same argv.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7)
+CRITERION_7 = ["--buckets", "20", "--per-bucket", "8", "--convention-size", "3",
+               "--deviance", "0.2", "--seed", "5"]
+SANDRA = "".join(f"u{i}\tDialogPage\tApp.createControl(Composite)\tsetControl\n" for i in range(1, 17)) + (
+    "sandra\tDialogPage\tApp.createControl(Composite)\t\tSpecialPage.java:12\n")
+
+
+def shapes(corpus, first) -> list[list[str]]:
+    """The 12 command shapes on ``corpus``; predict asks about ``first``, the
+    corpus's first usage, with its last call (in name order) removed."""
+    predict = ["predict", corpus, "--type", first.type_name, "--context", first.context,
+               "--calls", ",".join(sorted(first.calls)[:-1])]
+    return [
+        ["stats", corpus, "--hist-width", "0.1"],
+        ["score", corpus, "--top", "40", "--min-score", "0.05"],
+        ["score", corpus, "--format", "human"],
+        ["score", corpus, "--k", "2", "--ge", "-t", "0.5"],
+        predict,
+        [*predict, "--k", "3", "--threshold", "0.5", "--ge"],
+        ["eval", corpus],
+        ["eval", corpus, "--include-seed"],
+        ["eval", corpus, "--k", "3"],
+        ["eval", corpus, "--ge", "-t", "0.5"],
+        ["eval", corpus, "--sweep-t", "0,0.5,0.9,1"],
+        ["eval", corpus, "--sweep-k", "1,2,3"],
+    ]
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else HERE).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(HERE / "bench")]
+    import callgap.cli
+    import workloads
+
+    if Path(callgap.cli.__file__).resolve().parent != checkout / "src" / "callgap":
+        raise SystemExit(f"error: imported callgap from {callgap.cli.__file__}, not {checkout}/src")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        with contextlib.redirect_stdout(io.StringIO()):
+            if callgap.cli.main(["gen", "criterion7.tsv", "--truth", "truth.tsv", *CRITERION_7]) != 0:
+                raise SystemExit("error: gen failed")
+        Path("sandra.tsv").write_text(SANDRA, encoding="utf-8")
+        corpora = ["criterion7.tsv", "sandra.tsv"]
+        for name, w in workloads.WORKLOADS.items():
+            for seed in SEEDS:
+                corpora.append(f"{name}-{seed}{w.suffix}")
+                workloads.write(w.generate(seed), corpora[-1])
+        for corpus in corpora:
+            for command in shapes(corpus, callgap.cli.load_corpus(corpus).usages[0]):
+                for flags in ([], ["--no-context"]):
+                    out = io.StringIO()
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = callgap.cli.main(command + flags, out=out)
+                    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+                    print(f"{shlex.join(command + flags)}\t{code}\t{digest}")
+        os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
