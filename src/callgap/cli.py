@@ -17,6 +17,7 @@ import argparse
 import os
 import shutil
 import sys
+from bisect import bisect_left
 
 from .corpus import Corpus, load_corpus, write_corpus
 from .evaluation import EvalConfig, SyntheticSpec, evaluate, gen_synthetic, sweep_k, sweep_threshold
@@ -95,16 +96,14 @@ def cmd_score(corpus: Corpus, args, out) -> int:
     p = _sim_params(args)
     cfg = _pred_config(args)
     scores = score_all(corpus, p)
-    rows = [s for s in scores if s.s_score >= args.min_score]
-    if args.top is not None:
-        rows = rows[: args.top]
+    rows = scores[: bisect_left(scores, True, key=lambda s: s.s_score < args.min_score)][: args.top]
     human = args.format == "human"
     if not human:
         print("id,type,context,origin,score,e,a,recommendations", file=out)
-    recs_of: dict[tuple, list] = {}  # likelihoods reads only the calls and a_ids, besides the corpus
+    recs_of: dict[tuple, list] = {}  # rows alike in score_all's memo key share its a_ids
     for s in rows:
         u = corpus.get(s.id)
-        key = (u.calls, s.a_ids)
+        key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
         if key not in recs_of:
             recs_of[key] = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
         recs = recs_of[key]

@@ -2,15 +2,18 @@
 
 The score of a usage is 1 - |E|/(|E| + |A|): few places doing exactly the same
 thing combined with many places doing one call more marks the usage as a
-minority deviation. Scores are exact rationals (ratios of small counts) so
-every downstream number is bit-identical across platforms; rendering to
-decimals happens only at the reporting edge.
+minority deviation. Scores are exact rationals (ratios of small counts): every
+number is bit-identical across platforms, decimals appear only at the reporting
+edge, and exact arithmetic runs once per distinct score, not once per usage.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .corpus import Corpus
 from .similarity import SimilarityParams, query_for, query_similarity
@@ -59,17 +62,25 @@ def s_score(e_count: int, a_count: int) -> Fraction:
 
 
 def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
-    """Score every usage; sorted by score descending, ties by id ascending."""
-    scored = []
-    memo: dict[tuple, tuple] = {}  # usages alike in this key share leave-self-out E and A
+    """Score every usage; sorted by score descending, ties by id ascending.
+    Each distinct (bucket key, call-set) is queried once, each distinct score ranked once."""
+    memo: dict[tuple, tuple] = {}  # key -> (score, e_count, a_ids, ids of the usages sharing them)
     for u in corpus:
         key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
         if key not in memo:
             r = query_similarity(query_for(u), corpus, p)
-            memo[key] = (s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids)
-        scored.append(ScoredUsage(u.id, *memo[key]))
-    scored.sort(key=lambda s: (-s.s_score, s.id))
-    return scored
+            memo[key] = (s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids, [])
+        memo[key][3].append(u.id)
+    rank = {v: i for i, v in enumerate(sorted({m[0] for m in memo.values()}, reverse=True))}
+    rows = sorted((r, uid, v, e, a_ids)
+                  for v, e, a_ids, ids in memo.values() for r in [rank[v]] for uid in ids)
+    return [ScoredUsage(uid, v, e, a_ids) for _, uid, v, e, a_ids in rows]
+
+
+def _tally(scores: list[ScoredUsage]) -> list[tuple[Fraction, int]]:
+    """(value, rows) per distinct score, ascending; rows count on int pairs, which hash fast."""
+    counts = Counter((s.s_score.numerator, s.s_score.denominator) for s in scores)
+    return sorted((Fraction(*pair), c) for pair, c in counts.items())
 
 
 def distribution_stats(scores: list[ScoredUsage], corpus: Corpus) -> DistributionStats:
@@ -80,12 +91,12 @@ def distribution_stats(scores: list[ScoredUsage], corpus: Corpus) -> Distributio
     if len(scores) != len(corpus):
         raise ValueError(f"need one score per usage: got {len(scores)} for {len(corpus)} usages")
     n = len(scores)
-    vals = sorted(s.s_score for s in scores)
-    median = vals[(n - 1) // 2]
-    mean = sum(vals, Fraction(0)) / n
-    below = sum(1 for v in vals if v < Fraction(1, 10))
-    above5 = sum(1 for v in vals if v > Fraction(1, 2))
-    above9 = sum(1 for v in vals if v > Fraction(9, 10))
+    tally = _tally(scores)
+    median = tally[bisect_right(list(accumulate(c for _, c in tally)), (n - 1) // 2)][0]
+    mean = sum((v * c for v, c in tally), Fraction(0)) / n
+    below = sum(c for v, c in tally if v < Fraction(1, 10))
+    above5 = sum(c for v, c in tally if v > Fraction(1, 2))
+    above9 = sum(c for v, c in tally if v > Fraction(9, 10))
     n_red = sum(len(b) for b in corpus.bucket_index.values() if len(b) >= 2)
     return DistributionStats(
         n_usages=n,
@@ -124,8 +135,8 @@ def histogram(
     w = as_bin_width(bin_width)
     n_bins = int(-(-1 // w))  # ceil(1/w)
     counts = [0] * n_bins
-    for s in scores:
-        counts[min(int(s.s_score / w), n_bins - 1)] += 1
+    for v, c in _tally(scores):
+        counts[min(int(v / w), n_bins - 1)] += c
     return [
         (i * w, min((i + 1) * w, Fraction(1)), counts[i]) for i in range(n_bins)
     ]

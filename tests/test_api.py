@@ -2,11 +2,14 @@
 every name the benchmark harness (``bench/run.py``, ``bench/spans.py``) reads
 still exists with the same parameters and call path."""
 
+import dataclasses
 import importlib
 import inspect
 import io
 import re
 from pathlib import Path
+
+import pytest
 
 import callgap
 import callgap.cli
@@ -14,6 +17,7 @@ import callgap.evaluation
 import callgap.similarity
 from callgap import Corpus, EvalConfig
 from callgap.corpus import write_corpus
+from callgap.evaluation import SyntheticSpec, gen_synthetic
 from conftest import usage
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -136,3 +140,33 @@ def test_score_command_ranks_candidates_once_per_key(tmp_path, monkeypatch):
     calls.clear()
     assert callgap.cli.main(["score", str(path), "--no-context"], out=io.StringIO()) == 0
     assert sorted("".join(sorted(q.calls)) for q in calls) == ["a", "ab"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-context"]])
+def test_score_command_keys_no_memo_on_a(tmp_path, monkeypatch, flags):
+    work = 0
+
+    class CountedIds(tuple):
+        """An A id tuple that counts the elements it hashes or compares."""
+
+        def __hash__(self):
+            nonlocal work
+            work += len(self)
+            return super().__hash__()
+
+        def __eq__(self, other):
+            nonlocal work
+            work += len(self)
+            return super().__eq__(other)
+
+    real = callgap.cli.score_all
+    monkeypatch.setattr(callgap.cli, "score_all", lambda corpus, p: [
+        dataclasses.replace(s, a_ids=CountedIds(s.a_ids)) for s in real(corpus, p)])
+    # one bucket that follows a convention: deviants' A holds most of the bucket
+    for n in (100, 200, 400):
+        corpus, truth = gen_synthetic(SyntheticSpec(1, n, 5, 0.1, 20), 3)
+        assert truth
+        path = tmp_path / f"conv{n}.tsv"
+        path.write_text(write_corpus(corpus), encoding="utf-8")
+        assert callgap.cli.main(["score", str(path), *flags], out=io.StringIO()) == 0
+        assert work == 0, n

@@ -4,18 +4,20 @@ import contextlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from callgap import Corpus
+from callgap import Corpus, SimilarityParams, score_all
 from callgap.cli import main
 from callgap.corpus import write_corpus
-from conftest import usage
+from conftest import random_corpus, usage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,6 +97,19 @@ def test_score_min_score_filters_everything(sandra_file):
     code, out = run_cli(["score", sandra_file, "--min-score", "0.99"])
     assert code == 0
     assert out.splitlines() == ["id,type,context,origin,score,e,a,recommendations"]
+
+
+def test_score_min_score_keeps_the_rows_at_or_above_it(tmp_path):
+    corpus = random_corpus(random.Random(11), max_usages=60)
+    path = tmp_path / "r.tsv"
+    path.write_text(write_corpus(corpus), encoding="utf-8")
+    exact = {s.id: s.s_score for s in score_all(corpus, SimilarityParams())}
+    header, *rows = run_cli(["score", str(path)])[1].splitlines()
+    cuts = sorted(set(exact.values()))
+    for cut in cuts + [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [Fraction(1)]:
+        code, out = run_cli(["score", str(path), "--min-score", str(cut)])
+        assert code == 0
+        assert out.splitlines() == [header, *[r for r in rows if exact[r.split(",")[0]] >= cut]], cut
 
 
 def test_score_top_limits_rows(sandra_file):

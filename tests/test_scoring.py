@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import callgap.scoring
 from callgap import Corpus, SimilarityParams, score_all
 from callgap.scoring import ScoredUsage, distribution_stats, histogram, s_score
+from callgap.similarity import query_for, query_similarity
 from conftest import random_corpus, usage
 
 
@@ -136,3 +139,119 @@ def test_histogram_conserves_total():
 def test_histogram_rejects_bad_width():
     with pytest.raises(ValueError):
         histogram([], 0)
+
+
+# The per-row definitions the distinct-score arithmetic must reproduce.
+def _stats_per_row(scores, corpus):
+    n = len(scores)
+    vals = sorted(s.s_score for s in scores)
+    n_red = sum(len(b) for b in corpus.bucket_index.values() if len(b) >= 2)
+    return callgap.scoring.DistributionStats(
+        n_usages=n,
+        median_s=vals[(n - 1) // 2],
+        mean_s=sum(vals, Fraction(0)) / n,
+        frac_below_0_1=Fraction(sum(1 for v in vals if v < Fraction(1, 10)), n),
+        frac_above_0_5=Fraction(sum(1 for v in vals if v > Fraction(1, 2)), n),
+        frac_above_0_9=Fraction(sum(1 for v in vals if v > Fraction(9, 10)), n),
+        n_redundant=n_red,
+        frac_redundant=Fraction(n_red, n),
+    )
+
+
+def _histogram_per_row(scores, w):
+    n_bins = int(-(-1 // w))
+    counts = [0] * n_bins
+    for s in scores:
+        counts[min(int(s.s_score / w), n_bins - 1)] += 1
+    return [(i * w, min((i + 1) * w, Fraction(1)), counts[i]) for i in range(n_bins)]
+
+
+def _score_all_per_row(corpus, p):
+    rows = []
+    for u in corpus:
+        r = query_similarity(query_for(u), corpus, p)
+        rows.append(ScoredUsage(u.id, s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids))
+    return sorted(rows, key=lambda s: (-s.s_score, s.id))
+
+
+# Scores as score_all makes them (equal values from different (e, a), such as
+# 1/2 from (1, 1) and (2, 2)), plus bin edges and the three stats thresholds.
+_EDGES = [Fraction(i, 20) for i in range(20)] + [Fraction(1, 3), Fraction(2, 3)]
+_SCORES = st.one_of(st.builds(s_score, st.integers(1, 6), st.integers(0, 6)), st.sampled_from(_EDGES))
+_WIDTHS = st.sampled_from([Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(3, 10),
+                           Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SCORES, st.integers(1, 9), st.integers(0, 3)), min_size=1, max_size=40),
+       _WIDTHS)
+@example([(Fraction(1, 2), 1, 1), (Fraction(2, 4), 2, 2)], Fraction(1, 2))  # even n, one value twice
+@example([(Fraction(1, 10), 1, 0), (Fraction(1, 2), 1, 0), (Fraction(9, 10), 1, 0)], Fraction(1, 10))
+def test_distinct_score_arithmetic_matches_per_row_definitions(drawn, width):
+    # each row gets its own Fraction object, and e/a that need not match the score
+    rows = [ScoredUsage(f"u{i}", Fraction(v.numerator, v.denominator), e, ("x",) * a)
+            for i, (v, e, a) in enumerate(drawn)]
+    corpus = Corpus([usage(f"u{i}", "T", f"c{i % 3}()", {"m"}) for i in range(len(rows))])
+    assert distribution_stats(rows, corpus) == _stats_per_row(rows, corpus)
+    assert histogram(rows, width) == _histogram_per_row(rows, width)
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+def test_score_all_order_matches_per_row_sort(use_context):
+    p = SimilarityParams(use_context=use_context)
+    for seed in range(30):
+        corpus = random_corpus(random.Random(seed), max_usages=60)
+        assert score_all(corpus, p) == _score_all_per_row(corpus, p)
+
+
+def _counting(name):
+    def op(self, *args):
+        _Counted.ops += 1
+        return getattr(Fraction, name)(self, *args)
+    return op
+
+
+# A score that counts the Fraction operations called on it.
+_Counted = type("_Counted", (Fraction,), {"ops": 0, **{name: _counting(name) for name in (
+    "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__",
+    "__mul__", "__rmul__", "__neg__", "__truediv__", "__rtruediv__")}})
+
+
+def _ops(fn, *args):
+    _Counted.ops = 0
+    fn(*args)
+    return _Counted.ops
+
+
+def _five_scores(n):
+    """n rows over 5 distinct scores, each row holding its own counted Fraction."""
+    values = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(16, 17), Fraction(1, 20)]
+    return [ScoredUsage(f"u{i}", _Counted(values[i % 5]), 1, ()) for i in range(n)]
+
+
+def test_distribution_stats_does_fraction_work_per_distinct_score():
+    def work(n):
+        corpus = Corpus([usage(f"u{i}", "T", "c()", {"a"}) for i in range(n)])
+        return _ops(distribution_stats, _five_scores(n), corpus)
+    assert work(50) == work(200)
+
+
+def test_histogram_does_fraction_work_per_distinct_score():
+    def work(n):
+        return _ops(histogram, _five_scores(n), Fraction(1, 20))
+    assert work(50) == work(200)
+
+
+def test_score_all_compares_no_row_score(monkeypatch):
+    real = callgap.scoring.s_score
+    monkeypatch.setattr(callgap.scoring, "s_score", lambda e, a: _Counted(real(e, a)))
+
+    def corpus(m):  # every bucket scaled by m keeps each score, so the distinct keys and values hold
+        sets = [{"a"}, {"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "c"}]
+        return Corpus([usage(f"{ctx}-{i}-{j}", "T", f"{ctx}()", calls)
+                       for ctx in "xyz" for i, calls in enumerate(sets[: 3 + "xyz".index(ctx)])
+                       for j in range(m)])
+
+    for use_context in (True, False):
+        p = SimilarityParams(use_context=use_context)
+        assert _ops(score_all, corpus(10), p) == _ops(score_all, corpus(40), p)

@@ -6,12 +6,14 @@ its exit code and the sha256 of its stdout.
 
 callgap is imported from CHECKOUT/src (default: the checkout holding this
 script), and every command runs in-process through ``callgap.cli.main``. The
-192 commands are 12 shapes, which use every subcommand but ``gen`` and every
-flag, each run with and without ``--no-context`` on 8 corpora: the
-acceptance suite's criterion-7 corpus (made with ``callgap gen``), the
-Sandra corpus, and the three benchmark workloads at seeds 1 and 7 (made with
-this checkout's ``bench/workloads.py``). Corpora are written to a temporary
-directory and named relative to it, so two checkouts print the same argv.
+216 commands are 12 shapes, which use every subcommand but ``gen`` and every
+flag, each run with and without ``--no-context`` on 9 corpora: the
+acceptance suite's criterion-7 corpus and one 300-usage bucket that follows
+a convention, the paper's majority-rule shape (both made with ``callgap
+gen``), the Sandra corpus, and the three benchmark workloads at seeds 1 and 7
+(made with this checkout's ``bench/workloads.py``). Corpora are written to a
+temporary directory and named relative to it, so two checkouts print the same
+argv.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ HERE = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
 CRITERION_7 = ["--buckets", "20", "--per-bucket", "8", "--convention-size", "3",
                "--deviance", "0.2", "--seed", "5"]
+CONVENTION = ["--buckets", "1", "--per-bucket", "300", "--convention-size", "5", "--vocab", "20",
+              "--deviance", "0.1", "--seed", "3"]
 SANDRA = "".join(f"u{i}\tDialogPage\tApp.createControl(Composite)\tsetControl\n" for i in range(1, 17)) + (
     "sandra\tDialogPage\tApp.createControl(Composite)\t\tSpecialPage.java:12\n")
 
@@ -65,11 +69,12 @@ def main(argv: list[str]) -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        with contextlib.redirect_stdout(io.StringIO()):
-            if callgap.cli.main(["gen", "criterion7.tsv", "--truth", "truth.tsv", *CRITERION_7]) != 0:
-                raise SystemExit("error: gen failed")
+        for corpus, spec in (("criterion7.tsv", CRITERION_7), ("convention.tsv", CONVENTION)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if callgap.cli.main(["gen", corpus, "--truth", "truth.tsv", *spec]) != 0:
+                    raise SystemExit(f"error: gen {corpus} failed")
         Path("sandra.tsv").write_text(SANDRA, encoding="utf-8")
-        corpora = ["criterion7.tsv", "sandra.tsv"]
+        corpora = ["criterion7.tsv", "convention.tsv", "sandra.tsv"]
         for name, w in workloads.WORKLOADS.items():
             for seed in SEEDS:
                 corpora.append(f"{name}-{seed}{w.suffix}")
