@@ -100,19 +100,20 @@ def cmd_score(corpus: Corpus, args, out) -> int:
     human = args.format == "human"
     if not human:
         print("id,type,context,origin,score,e,a,recommendations", file=out)
-    recs_of: dict[tuple, list] = {}  # rows alike in score_all's memo key share its a_ids
+    recs_of: dict[tuple, tuple] = {}  # rows alike in score_all's memo key share its a_ids
+    text_of: dict[tuple[int, int], str] = {}  # a score's (numerator, denominator) -> its text
     for s in rows:
         u = corpus.get(s.id)
         key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
         if key not in recs_of:
-            recs_of[key] = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
-        recs = recs_of[key]
+            recs = filter_recommendations(likelihoods(query_for(u), s.a_ids, corpus), cfg)
+            recs_of[key] = recs, ";".join(f"{r.method}:{_fmt(r.likelihood)}" for r in recs)
+        recs, rec_str = recs_of[key]
+        pair = (s.s_score.numerator, s.s_score.denominator)
+        score = text_of.get(pair) or text_of.setdefault(pair, _fmt(s.s_score))
         if human:
             origin = f"  [{u.origin}]" if u.origin else ""
-            print(
-                f"{s.id}  score={_fmt(s.s_score)}  {u.type_name}  {u.context}{origin}",
-                file=out,
-            )
+            print(f"{s.id}  score={score}  {u.type_name}  {u.context}{origin}", file=out)
             for r in recs:
                 print(
                     f"    missing {r.method}? {r.support} of {s.a_count} similar "
@@ -120,10 +121,9 @@ def cmd_score(corpus: Corpus, args, out) -> int:
                     file=out,
                 )
         else:
-            rec_str = ";".join(f"{r.method}:{_fmt(r.likelihood)}" for r in recs)
             print(
                 f"{s.id},{u.type_name},{u.context},{u.origin or ''},"
-                f"{_fmt(s.s_score)},{s.e_count},{s.a_count},{rec_str}",
+                f"{score},{s.e_count},{s.a_count},{rec_str}",
                 file=out,
             )
     return EXIT_OK

@@ -124,26 +124,34 @@ def _parse_records(lines: list[str], fields_of) -> Corpus:
 
     Blank lines and lines starting with ``#`` are skipped. ``fields_of(line,
     lineno)`` splits a record line into (id, type, context, calls, origin)
-    strings, calls a list of strings. Every field is stripped; an empty id is
-    auto-assigned ``u<ordinal>`` in record order, empty call names are
-    dropped and duplicates collapse (calls form a set), an empty origin is
-    None. A record that breaks a ``Corpus`` rule is reported by line number.
+    strings, calls either comma-separated text or a tuple of strings. Every
+    field is stripped; an empty id is auto-assigned ``u<ordinal>`` in record
+    order, empty call names are dropped and duplicates collapse (calls form a
+    set), an empty origin is None. Usages whose calls fields read the same
+    share one ``frozenset``, built at the field's first record. A record that
+    breaks a ``Corpus`` rule is reported by line number.
     """
-    records = [(n, line) for n, line in enumerate(lines, start=1)
-               if line.strip() and not line.lstrip().startswith("#")]
     usages: list[TypeUsage] = []
-    for lineno, line in records:
+    linenos: list[int] = []
+    callsets: dict = {}  # calls field as read -> its frozenset
+    for lineno, line in enumerate(lines, start=1):
+        if not (head := line.lstrip()) or head[0] == "#":
+            continue
         uid, type_name, context, calls, origin = fields_of(line, lineno)
         try:
-            calls = frozenset(filter(None, map(str.strip, calls)))
-        except TypeError:
+            names = callsets.get(calls)
+            if names is None:
+                names = callsets[calls] = frozenset(filter(None, map(
+                    str.strip, calls.split(",") if isinstance(calls, str) else calls)))
+        except TypeError:  # a JSONL call name that is not a string
             raise CorpusFormatError(f"line {lineno}: call names must be strings") from None
+        linenos.append(lineno)
         usages.append(TypeUsage(uid.strip() or f"u{len(usages) + 1}", type_name.strip(),
-                                context.strip(), calls, origin.strip() or None))
+                                context.strip(), names, origin.strip() or None))
     try:
         return Corpus(usages)
     except ValueError:
-        raise CorpusFormatError(_broken_rule(usages, lambda i: f"line {records[i][0]}")) from None
+        raise CorpusFormatError(_broken_rule(usages, lambda i: f"line {linenos[i]}")) from None
 
 
 def _tsv_fields(line: str, lineno: int):
@@ -153,7 +161,7 @@ def _tsv_fields(line: str, lineno: int):
             f"line {lineno}: expected 4 or 5 tab-separated fields, got {len(fields)}"
         )
     origin = fields[4] if len(fields) == 5 else ""
-    return fields[0], fields[1], fields[2], fields[3].split(","), origin
+    return fields[0], fields[1], fields[2], fields[3], origin
 
 
 def _jsonl_value(rec: dict, key: str, lineno: int, kind=str, missing=""):
@@ -177,7 +185,7 @@ def _jsonl_fields(line: str, lineno: int):
     if not isinstance(rec, dict):
         raise CorpusFormatError(f"line {lineno}: expected a JSON object")
     return (str(_jsonl_value(rec, "id", lineno, (str, int))), _jsonl_value(rec, "type", lineno),
-            _jsonl_value(rec, "context", lineno), _jsonl_value(rec, "calls", lineno, list, []),
+            _jsonl_value(rec, "context", lineno), tuple(_jsonl_value(rec, "calls", lineno, list, [])),
             _jsonl_value(rec, "origin", lineno))
 
 

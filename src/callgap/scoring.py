@@ -63,17 +63,20 @@ def s_score(e_count: int, a_count: int) -> Fraction:
 
 def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
     """Score every usage; sorted by score descending, ties by id ascending.
-    Each distinct (bucket key, call-set) is queried once, each distinct score ranked once."""
-    memo: dict[tuple, tuple] = {}  # key -> (score, e_count, a_ids, ids of the usages sharing them)
+    Each distinct (bucket key, call-set) is queried once, and each distinct
+    (|E|, |A|) pair scored and ranked once; pairs of equal score share a rank."""
+    memo: dict[tuple, tuple] = {}  # key -> (e_count, a_ids, ids of the usages sharing them)
     for u in corpus:
         key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
         if key not in memo:
             r = query_similarity(query_for(u), corpus, p)
-            memo[key] = (s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids, [])
-        memo[key][3].append(u.id)
-    rank = {v: i for i, v in enumerate(sorted({m[0] for m in memo.values()}, reverse=True))}
-    rows = sorted((r, uid, v, e, a_ids)
-                  for v, e, a_ids, ids in memo.values() for r in [rank[v]] for uid in ids)
+            memo[key] = (r.e_count, r.a_ids, [])
+        memo[key][2].append(u.id)
+    value = {pair: s_score(*pair) for pair in {(e, len(a_ids)) for e, a_ids, _ in memo.values()}}
+    rank = {v: i for i, v in enumerate(sorted(set(value.values()), reverse=True))}
+    pairs = {pair: (rank[v], v) for pair, v in value.items()}  # (e, a) -> (rank, score)
+    rows = sorted((r, uid, v, e, a_ids) for e, a_ids, ids in memo.values()
+                  for r, v in [pairs[e, len(a_ids)]] for uid in ids)
     return [ScoredUsage(uid, v, e, a_ids) for _, uid, v, e, a_ids in rows]
 
 

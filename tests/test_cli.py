@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from callgap import Corpus, SimilarityParams, score_all
 from callgap.cli import main
-from callgap.corpus import write_corpus
+from callgap.corpus import CorpusFormatError, parse_corpus_jsonl, write_corpus
 from conftest import random_corpus, usage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -81,6 +81,18 @@ def test_stats_malformed_file_exits_2(tmp_path, capsys):
     code, _ = run_cli(["stats", str(path)])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("calls", [[["a"]], [{"x": 1}], ["a", ["b"]]])
+def test_jsonl_call_name_that_is_a_list_or_object_is_one_error_line(tmp_path, capsys, calls):
+    text = '{"type": "A", "context": "c()", "calls": ["a"]}\n' + json.dumps(
+        {"type": "A", "context": "c()", "calls": calls}) + "\n"
+    with pytest.raises(CorpusFormatError, match="^line 2: call names must be strings$"):
+        parse_corpus_jsonl(text)
+    path = tmp_path / "c.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["stats", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}: line 2: call names must be strings\n"
 
 
 def test_score_sandra_top_warning(sandra_file):

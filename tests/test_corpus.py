@@ -86,6 +86,66 @@ def test_jsonl_non_string_call_name_names_line():
         parse_corpus_jsonl('{"type": "A", "context": "c()"}\n{"type": "A", "context": "c()", "calls": [1]}\n')
 
 
+def test_parse_shares_one_callset_per_calls_field():
+    tsv = parse_corpus("u1\tA\tc()\tf,g\nu2\tB\td()\tf,g\n")
+    jsonl = parse_corpus_jsonl("".join(json.dumps({"id": uid, "type": "A", "context": "c()", "calls": calls})
+                                       + "\n" for uid, calls in [("u1", ["f", "g"]), ("u2", ["f", "g"])]))
+    assert tsv.get("u1").calls is tsv.get("u2").calls
+    assert jsonl.get("u1").calls is jsonl.get("u2").calls
+    fields = ["a,b", " b ,a,,a", "b,a"]
+    c = parse_corpus("".join(f"u{i}\tA\tc()\t{f}\n" for i, f in enumerate(fields)))
+    assert [u.calls for u in c] == [{"a", "b"}] * 3
+
+
+_NAMES = st.sampled_from(["a", "b", " a", "b ", " b ", "", "  ", "<init>", "set(x)"])
+_FILLERS = st.lists(st.sampled_from(["", "   ", "\t", "#", "# a\tb\tc()\tf", "  #c,d"]), max_size=2)
+
+
+def _record(jsonl, uid, type_name, calls):
+    """A record line whose calls are the list ``calls``, comma-joined in TSV."""
+    if jsonl:
+        return json.dumps({"id": uid, "type": type_name, "context": "c()", "calls": calls})
+    return "\t".join([uid, type_name, "c()", ",".join(calls)])
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_each_calls_field_as_its_own_line(data, jsonl):
+    """Each usage's calls equal the per-line definition, equal fields share one
+    set, and an error names its line counting the blank and comment lines."""
+    records = data.draw(st.lists(st.tuples(_FILLERS, st.lists(_NAMES, max_size=4)), min_size=1, max_size=10))
+    lines, fields, at = [], [], []
+    for i, (fillers, names) in enumerate(records):
+        lines += fillers
+        lines.append(_record(jsonl, f"r{i}", "T", names))
+        fields.append(tuple(names) if jsonl else ",".join(names))
+        at.append(len(lines))
+    parse = parse_corpus_jsonl if jsonl else parse_corpus
+    corpus = parse("\n".join(lines) + "\n")
+    assert [u.id for u in corpus] == [f"r{i}" for i in range(len(records))]
+    assert [u.calls for u in corpus] == [
+        frozenset(filter(None, map(str.strip, f if jsonl else f.split(",")))) for f in fields]
+    assert len({id(u.calls) for u in corpus}) == len(set(fields))
+
+    bad = data.draw(st.sampled_from(["calls", "duplicate", "type"]))
+    lines += data.draw(_FILLERS)
+    lineno = len(lines) + 1
+    if bad == "calls":
+        lines.append(_record(jsonl, "x", "T", [1]) if jsonl else "x\tT\tc()")
+        message = (f"line {lineno}: call names must be strings" if jsonl
+                   else f"line {lineno}: expected 4 or 5 tab-separated fields, got 3")
+    elif bad == "duplicate":
+        lines.append(_record(jsonl, "r0", "T", []))
+        message = f"line {lineno}: duplicate id 'r0' (first seen on line {at[0]})"
+    else:
+        lines.append(_record(jsonl, "x", "", []))
+        message = f"line {lineno}: empty type or context field"
+    lines += [_record(jsonl, "after", "T", ["a"])]
+    with pytest.raises(CorpusFormatError) as exc:
+        parse("\n".join(lines) + "\n")
+    assert str(exc.value) == message
+
+
 def test_jsonl_bad_json_names_line():
     with pytest.raises(CorpusFormatError, match="line 1"):
         parse_corpus_jsonl("{not json\n")

@@ -11,6 +11,7 @@ from callgap import Corpus, SimilarityParams, score_all
 from callgap.scoring import ScoredUsage, distribution_stats, histogram, s_score
 from callgap.similarity import query_for, query_similarity
 from conftest import random_corpus, usage
+from oracle import brute_force_oracle
 
 
 P1 = SimilarityParams()
@@ -202,6 +203,24 @@ def test_score_all_order_matches_per_row_sort(use_context):
     for seed in range(30):
         corpus = random_corpus(random.Random(seed), max_usages=60)
         assert score_all(corpus, p) == _score_all_per_row(corpus, p)
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+def test_score_all_ranks_equal_scores_of_distinct_pairs_alike(use_context):
+    # (|E|, |A|) = (1, 1) and (2, 2) both score 1/2, and (1, 0) and (2, 0) both
+    # score 0: each score's rows interleave by id across its pairs
+    corpus = Corpus([usage("b", "X", "c()", {"a"}), usage("x", "X", "c()", {"a", "z"})]
+                    + [usage(uid, "Y", "d()", calls) for uid, calls in
+                       [("a", {"a"}), ("c", {"a"}), ("y1", {"a", "z"}), ("y2", {"a", "z"})]])
+    p = SimilarityParams(use_context=use_context)
+    rows = score_all(corpus, p)
+    assert [(s.id, s.e_count, s.a_count) for s in rows] == [
+        ("a", 2, 2), ("b", 1, 1), ("c", 2, 2), ("x", 1, 0), ("y1", 2, 0), ("y2", 2, 0)]
+    assert rows == sorted(rows, key=lambda s: (-s.s_score, s.id))
+    oracle = brute_force_oracle(corpus, p)
+    assert {s.id: (s.e_count, s.a_ids) for s in rows} == {
+        uid: (r.e_count, r.a_ids) for uid, r in oracle.items()}
+    assert [s.s_score for s in rows] == [Fraction(1, 2)] * 3 + [0] * 3
 
 
 def _counting(name):

@@ -6,12 +6,13 @@ its exit code and the sha256 of its stdout.
 
 callgap is imported from CHECKOUT/src (default: the checkout holding this
 script), and every command runs in-process through ``callgap.cli.main``. The
-216 commands are 12 shapes, which use every subcommand but ``gen`` and every
-flag, each run with and without ``--no-context`` on 9 corpora: the
+264 commands are 12 shapes, which use every subcommand but ``gen`` and every
+flag, each run with and without ``--no-context`` on 11 corpora: the
 acceptance suite's criterion-7 corpus and one 300-usage bucket that follows
 a convention, the paper's majority-rule shape (both made with ``callgap
-gen``), the Sandra corpus, and the three benchmark workloads at seeds 1 and 7
-(made with this checkout's ``bench/workloads.py``). Corpora are written to a
+gen``), the Sandra corpus, a hand-written corpus of messy call fields in TSV
+and in JSONL, and the three benchmark workloads at seeds 1 and 7 (made with
+this checkout's ``bench/workloads.py``). Corpora are written to a
 temporary directory and named relative to it, so two checkouts print the same
 argv.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -35,6 +37,37 @@ CONVENTION = ["--buckets", "1", "--per-bucket", "300", "--convention-size", "5",
               "--deviance", "0.1", "--seed", "3"]
 SANDRA = "".join(f"u{i}\tDialogPage\tApp.createControl(Composite)\tsetControl\n" for i in range(1, 17)) + (
     "sandra\tDialogPage\tApp.createControl(Composite)\t\tSpecialPage.java:12\n")
+
+# (type, context, calls field): call names padded, permuted, repeated and empty
+MESSY = [("Widget", "View.build()", " init , setText,setColor"),
+         ("Widget", "View.build()", "setColor,init,,setText"),
+         ("Widget", "View.build()", "setText,init,setColor,setText"),
+         ("Widget", "View.build()", "init ,  setText"),
+         ("Widget", "View.build()", ",init,setText,setColor,"),
+         ("Widget", "View.build()", " "),
+         ("Widget", "View.build()", "setColor,init,,setText"),
+         ("Widget", "View.show()", "init,show, show"),
+         ("Widget", "View.show()", " show,init"),
+         ("Widget", "View.show()", "init"),
+         ("Widget", "View.show()", "init,show,setText"),
+         ("Label", "View.build()", "init,setText"),
+         ("Label", "View.build()", " setText , init "),
+         ("Label", "View.build()", "init,,"),
+         ("Label", "View.build()", "setText,init,setText"),
+         ("Label", "View.build()", "")]
+
+
+def messy(jsonl: bool) -> str:
+    """MESSY as corpus text, with blank and comment lines between records; a
+    JSONL record's calls list is its TSV field split at commas."""
+    lines = ["# messy call fields", ""]
+    for i, (type_name, context, calls) in enumerate(MESSY, start=1):
+        lines.append(json.dumps({"id": f"m{i}", "type": type_name, "context": context,
+                                 "calls": calls.split(",")}) if jsonl
+                     else f"m{i}\t{type_name}\t{context}\t{calls}")
+        if i % 4 == 0:
+            lines += ["   ", f"  # after m{i}", ""]
+    return "\n".join(lines) + "\n"
 
 
 def shapes(corpus, first) -> list[list[str]]:
@@ -74,7 +107,9 @@ def main(argv: list[str]) -> int:
                 if callgap.cli.main(["gen", corpus, "--truth", "truth.tsv", *spec]) != 0:
                     raise SystemExit(f"error: gen {corpus} failed")
         Path("sandra.tsv").write_text(SANDRA, encoding="utf-8")
-        corpora = ["criterion7.tsv", "convention.tsv", "sandra.tsv"]
+        Path("messy.tsv").write_text(messy(False), encoding="utf-8")
+        Path("messy.jsonl").write_text(messy(True), encoding="utf-8")
+        corpora = ["criterion7.tsv", "convention.tsv", "sandra.tsv", "messy.tsv", "messy.jsonl"]
         for name, w in workloads.WORKLOADS.items():
             for seed in SEEDS:
                 corpora.append(f"{name}-{seed}{w.suffix}")
