@@ -30,7 +30,7 @@ from .scoring import (
     s_score,
     score_all,
 )
-from .similarity import Query, SimilarityParams, query_for, query_similarity
+from .similarity import Query, SimilarityParams, almost_similar, exactly_similar, query_for
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -134,11 +134,10 @@ def cmd_predict(corpus: Corpus, args, out) -> int:
     cfg = _pred_config(args)
     calls = frozenset(c.strip() for c in (args.calls or "").split(",") if c.strip())
     q = Query(args.type, args.context, calls)
-    sim = query_similarity(q, corpus, p)
-    a_ids = sim.a_ids
-    print(f"e_count: {sim.e_count}", file=out)
+    e_count, a_ids = exactly_similar(q, corpus, p), almost_similar(q, corpus, p)
+    print(f"e_count: {e_count}", file=out)
     print(f"a_count: {len(a_ids)}", file=out)
-    print(f"s_score: {_fmt(s_score(sim.e_count, len(a_ids)))}", file=out)
+    print(f"s_score: {_fmt(s_score(e_count, len(a_ids)))}", file=out)
     if not a_ids:
         print("no almost-similar usages", file=out)
         return EXIT_OK

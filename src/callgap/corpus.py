@@ -17,7 +17,7 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeUsage:
     """One variable's (type, context, call-set) triple.
 
@@ -34,7 +34,7 @@ class TypeUsage:
     origin: str | None = None
 
 
-_NO_BUCKET: tuple = ([], {}, {}, {})
+_NO_BUCKET: tuple = ([], {}, {})
 
 
 class Corpus:
@@ -87,13 +87,13 @@ class Corpus:
         return index.get(self.bucket_key(type_name, context, use_context), [])
 
     def callset_index(self, type_name: str, context: str,
-                      use_context: bool = True) -> tuple[list[TypeUsage], dict, dict, dict]:
-        """``bucket`` and its call-set index, as (bucket, by_set, masks, where):
+                      use_context: bool = True) -> tuple[list[TypeUsage], dict, dict]:
+        """``bucket`` and its call-set index, as (bucket, by_set, masks):
         by_set maps each call-set to its positions in the bucket, ascending;
         masks maps each call and each call-set size to an int whose bit i is
-        set when position i has it; where maps the id of each usage in the
-        bucket to its position. Made for every bucket at the first call in
-        each mode."""
+        set when position i has it. Made for every bucket at the first call in
+        each mode. It holds no ids: a query's ``exclude_id`` is looked up in
+        ``by_id``."""
         index = self._callsets.get(use_context)
         if index is None:
             index = self._callsets[use_context] = {}
@@ -105,7 +105,7 @@ class Corpus:
                     bits = sum(1 << i for i in at)
                     for m in (*calls, len(calls)):
                         masks[m] = masks.get(m, 0) | bits
-                index[key] = (usages, by_set, masks, {u.id: i for i, u in enumerate(usages)})
+                index[key] = (usages, by_set, masks)
         return index.get(self.bucket_key(type_name, context, use_context), _NO_BUCKET)
 
 

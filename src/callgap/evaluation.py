@@ -26,7 +26,7 @@ from .prediction import (
     likelihoods,
 )
 from .scoring import s_score
-from .similarity import Query, SimilarityParams, query_similarity
+from .similarity import Query, SimilarityParams, almost_similar, exactly_similar
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,11 @@ def generate_degraded(corpus: Corpus) -> list[DegradedQuery]:
 
 def run_query(dq: DegradedQuery, corpus: Corpus, cfg: EvalConfig) -> QueryOutcome:
     q = dq.query if not cfg.include_seed else replace(dq.query, exclude_id=None)
-    sim = query_similarity(q, corpus, cfg.similarity)
-    recs = likelihoods(q, sim.a_ids, corpus)
+    e_count = exactly_similar(q, corpus, cfg.similarity)
+    a_ids = almost_similar(q, corpus, cfg.similarity)
+    recs = likelihoods(q, a_ids, corpus)
     missing = filter_recommendations(recs, cfg.prediction)
-    return QueryOutcome(dq.seed_id, dq.removed, sim.e_count, len(sim.a_ids), tuple(recs), tuple(missing))
+    return QueryOutcome(dq.seed_id, dq.removed, e_count, len(a_ids), tuple(recs), tuple(missing))
 
 
 def aggregate(outcomes: list[QueryOutcome]) -> EvalReport:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .corpus import Corpus
-from .similarity import SimilarityParams, query_for, query_similarity
+from .similarity import SimilarityParams, almost_similar, exactly_similar, query_for
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def score_all(corpus: Corpus, p: SimilarityParams) -> list[ScoredUsage]:
     for u in corpus:
         key = (corpus.bucket_key(u.type_name, u.context, p.use_context), u.calls)
         if key not in memo:
-            r = query_similarity(query_for(u), corpus, p)
-            memo[key] = (r.e_count, r.a_ids, [])
+            q = query_for(u)
+            memo[key] = (exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p)), [])
         memo[key][2].append(u.id)
     value = {pair: s_score(*pair) for pair in {(e, len(a_ids)) for e, a_ids, _ in memo.values()}}
     rank = {v: i for i, v in enumerate(sorted(set(value.values()), reverse=True))}

@@ -35,7 +35,9 @@ class SimilarityParams:
 class Query:
     """An external probe: a (type, context, call-set) to match against the
     corpus. ``exclude_id`` omits one corpus usage during matching, which gives
-    leave-one-out semantics for degraded queries."""
+    leave-one-out semantics for degraded queries. It is looked up in
+    ``Corpus.by_id``; an unknown id, or a usage outside the query's bucket,
+    changes nothing."""
 
     type_name: str
     context: str
@@ -43,27 +45,21 @@ class Query:
     exclude_id: str | None = None
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
-    """e_count includes the subject itself, so it is always >= 1."""
-
-    e_count: int
-    a_ids: tuple[str, ...]
-
-
 def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
     """|E(q)|: matching corpus usages with an identical call-set, plus one
-    for the subject itself."""
-    bucket, by_set, _, where = corpus.callset_index(q.type_name, q.context, p.use_context)
+    for the subject itself, so it is always >= 1."""
+    bucket, by_set, _ = corpus.callset_index(q.type_name, q.context, p.use_context)
     calls = frozenset(q.calls)
-    excluded = where.get(q.exclude_id)
-    return 1 + len(by_set.get(calls, ())) - (excluded is not None and bucket[excluded].calls == calls)
+    x = corpus.by_id.get(q.exclude_id)
+    return 1 + len(by_set.get(calls, ())) - (
+        x is not None and x.calls == calls
+        and corpus.bucket(x.type_name, x.context, p.use_context) is bucket)
 
 
 def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     """Ids of A(q): matching usages whose call-set strictly contains q's with
     1..k extra calls, in corpus order."""
-    bucket, _, masks, where = corpus.callset_index(q.type_name, q.context, p.use_context)
+    bucket, _, masks = corpus.callset_index(q.type_name, q.context, p.use_context)
     n = len(q.calls)
     hits = 0
     # No call-set has more calls than its bucket has distinct calls, and masks
@@ -74,13 +70,12 @@ def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
         if not hits:
             return []
         hits &= masks.get(m, 0)
-    excluded = where.get(q.exclude_id)
-    if excluded is not None:
-        hits &= ~(1 << excluded)
+    x = corpus.by_id.get(q.exclude_id)
     bits = bin(hits)[:1:-1]  # character i is bit i
     ids, i = [], bits.find("1")
     while i >= 0:
-        ids.append(bucket[i].id)
+        if bucket[i] is not x:
+            ids.append(bucket[i].id)
         i = bits.find("1", i + 1)
     return ids
 
@@ -88,11 +83,3 @@ def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
 def query_for(u: TypeUsage) -> Query:
     """Leave-self-out query for an in-corpus usage."""
     return Query(u.type_name, u.context, u.calls, exclude_id=u.id)
-
-
-def query_similarity(q: Query, corpus: Corpus, p: SimilarityParams) -> SimilarityResult:
-    """E/A of a query: the one place the two relations are composed. An
-    in-corpus subject contributes exactly once to e_count (via the explicit
-    +1, never via the bucket) when the query excludes it."""
-    return SimilarityResult(exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p)))
-

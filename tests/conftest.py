@@ -4,11 +4,16 @@ import random
 
 import pytest
 
-from callgap import Corpus, TypeUsage
+from callgap import Corpus, TypeUsage, almost_similar, exactly_similar
 
 
 def usage(uid, type_name, context, calls, origin=None):
     return TypeUsage(uid, type_name, context, frozenset(calls), origin)
+
+
+def similarity_of(q, corpus, p):
+    """(|E|, A's ids) from the indexed engine, comparable with an oracle answer."""
+    return exactly_similar(q, corpus, p), tuple(almost_similar(q, corpus, p))
 
 
 @pytest.fixture

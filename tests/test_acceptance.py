@@ -31,9 +31,9 @@ from callgap.corpus import write_corpus
 from callgap.evaluation import SyntheticSpec, gen_synthetic
 from callgap.prediction import filter_recommendations
 from callgap.scoring import s_score
-from callgap.similarity import query_for, query_similarity
-from conftest import random_corpus, usage
-from oracle import brute_force_oracle, oracle_similarity
+from callgap.similarity import query_for
+from conftest import random_corpus, similarity_of, usage
+from oracle import brute_force_oracle, oracle_almost_similar, oracle_exactly_similar
 
 
 P1 = SimilarityParams()
@@ -91,11 +91,10 @@ def test_criterion_1_worked_example_goldens():
             usage("myBut", "Button", ctx2, {"<init>", "setText", "setColor", "setLink"}),
         ]
     )
-    indexed = query_similarity(query_for(three.get("b")), three, P1)
+    indexed = similarity_of(query_for(three.get("b")), three, P1)
     pairwise = brute_force_oracle(three, P1)["b"]
     assert indexed == pairwise
-    assert indexed.e_count == 2  # b itself + aBut
-    assert indexed.a_ids == ("myBut",)
+    assert indexed == (2, ("myBut",))  # E: b itself + aBut; A: myBut
     report("1 (worked-example goldens)")
 
 
@@ -109,9 +108,9 @@ def test_criterion_2_oracle_equivalence_200_corpora():
         p = SimilarityParams(k=k)
         oracle = brute_force_oracle(corpus, p)
         for u in corpus:
-            r = query_similarity(query_for(corpus.get(u.id)), corpus, p)
-            assert r == oracle[u.id]
-            assert s_score(r.e_count, len(r.a_ids)) == s_score(
+            e, a_ids = similarity_of(query_for(corpus.get(u.id)), corpus, p)
+            assert (e, a_ids) == oracle[u.id]
+            assert s_score(e, len(a_ids)) == s_score(
                 oracle[u.id].e_count, len(oracle[u.id].a_ids)
             )
         n_corpora += 1
@@ -154,7 +153,8 @@ def test_criterion_3_degradation_protocol(monkeypatch):
     two_conv = Corpus(usages)
     cfg = EvalConfig(prediction=PredictionConfig(Fraction(1, 2)))
     indexed = evaluate(two_conv, cfg)
-    monkeypatch.setattr(callgap.evaluation, "query_similarity", oracle_similarity)
+    monkeypatch.setattr(callgap.evaluation, "exactly_similar", oracle_exactly_similar)
+    monkeypatch.setattr(callgap.evaluation, "almost_similar", oracle_almost_similar)
     assert indexed == evaluate(two_conv, cfg)
     report("3 (degradation-protocol properties)")
 

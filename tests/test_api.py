@@ -7,6 +7,7 @@ import importlib
 import inspect
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,8 +108,10 @@ def test_score_command_reuses_a_from_scoring(tmp_path, monkeypatch):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(callgap.similarity, "almost_similar", counting)
-    monkeypatch.setattr(callgap.cli, "almost_similar", counting, raising=False)
+    # rebind the name in every callgap module that holds it, as bench/spans.py does
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "callgap" and vars(module).get("almost_similar") is real:
+            monkeypatch.setattr(module, "almost_similar", counting)
     # one per distinct (type, context, call-set), all from score_all; the
     # context drops out of the key with --no-context
     assert callgap.cli.main(["score", str(path)], out=io.StringIO()) == 0

@@ -1,5 +1,6 @@
 """Corpus parsing, writing, and bucket indexing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -95,6 +96,16 @@ def test_parse_shares_one_callset_per_calls_field():
     fields = ["a,b", " b ,a,,a", "b,a"]
     c = parse_corpus("".join(f"u{i}\tA\tc()\t{f}\n" for i, f in enumerate(fields)))
     assert [u.calls for u in c] == [{"a", "b"}] * 3
+
+
+def test_a_parsed_usage_has_slots_and_no_dict():
+    u = parse_corpus("u1\tA\tc()\tf,g\tA.java:3\n").get("u1")
+    assert not hasattr(u, "__dict__")
+    v = dataclasses.replace(u, id="u2", calls=frozenset({"h"}))
+    assert v == TypeUsage("u2", "A", "c()", frozenset({"h"}), "A.java:3")
+    assert dataclasses.replace(u) == u
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.id = "u3"
 
 
 _NAMES = st.sampled_from(["a", "b", " a", "b ", " b ", "", "  ", "<init>", "set(x)"])

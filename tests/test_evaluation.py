@@ -23,7 +23,7 @@ from callgap.evaluation import (
 )
 from callgap.scoring import s_score
 from conftest import random_corpus, usage
-from oracle import brute_force_oracle, oracle_similarity
+from oracle import brute_force_oracle, oracle_almost_similar, oracle_exactly_similar
 
 
 def unanimous_corpus(n=10, calls=("a", "b", "c")):
@@ -133,7 +133,8 @@ def test_evaluate_matches_oracle_similarity_path(monkeypatch):
     corpus = two_convention_corpus()
     cfg = EvalConfig()
     indexed = evaluate(corpus, cfg)
-    monkeypatch.setattr(callgap.evaluation, "query_similarity", oracle_similarity)
+    monkeypatch.setattr(callgap.evaluation, "exactly_similar", oracle_exactly_similar)
+    monkeypatch.setattr(callgap.evaluation, "almost_similar", oracle_almost_similar)
     assert indexed == evaluate(corpus, cfg)
 
 
@@ -200,15 +201,15 @@ def test_gen_synthetic_deviants_score_as_planted():
     # force exactly the truth-listed usages to deviate; conformers dominate
     spec = SyntheticSpec(n_buckets=3, usages_per_bucket=20, convention_size=4, deviance_rate=0.1)
     corpus, truth = gen_synthetic(spec, 9)
-    from callgap.similarity import query_for, query_similarity
+    from callgap.similarity import almost_similar, query_for
 
     deviants = {uid for uid, _ in truth}
     for uid, dropped in truth:
-        r = query_similarity(query_for(corpus.get(uid)), corpus, SimilarityParams())
+        a_ids = almost_similar(query_for(corpus.get(uid)), corpus, SimilarityParams())
         # every conformer in the bucket is an almost-similar neighbor
         bucket = corpus.bucket(corpus.get(uid).type_name, corpus.get(uid).context)
         conformers = [b.id for b in bucket if b.id not in deviants]
-        assert set(r.a_ids) >= set(conformers)
+        assert set(a_ids) >= set(conformers)
 
 
 def test_gen_synthetic_validation():

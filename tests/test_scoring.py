@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import callgap.scoring
 from callgap import Corpus, SimilarityParams, score_all
 from callgap.scoring import ScoredUsage, distribution_stats, histogram, s_score
-from callgap.similarity import query_for, query_similarity
+from callgap.similarity import query_for
 from conftest import random_corpus, usage
-from oracle import brute_force_oracle
+from oracle import brute_force_oracle, oracle_similarity
 
 
 P1 = SimilarityParams()
@@ -170,7 +170,7 @@ def _histogram_per_row(scores, w):
 def _score_all_per_row(corpus, p):
     rows = []
     for u in corpus:
-        r = query_similarity(query_for(u), corpus, p)
+        r = oracle_similarity(query_for(u), corpus, p)
         rows.append(ScoredUsage(u.id, s_score(r.e_count, len(r.a_ids)), r.e_count, r.a_ids))
     return sorted(rows, key=lambda s: (-s.s_score, s.id))
 

@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from callgap import Corpus, Query, SimilarityParams, almost_similar, exactly_similar
-from callgap.similarity import query_for, query_similarity
-from conftest import random_corpus, usage
+from callgap.similarity import query_for
+from conftest import random_corpus, similarity_of, usage
 from oracle import brute_force_oracle, oracle_similarity
 
 
@@ -75,15 +75,12 @@ def test_is_redundant(two_usage_corpus, three_button_corpus):
 
 
 def test_similarity_of_composition(three_button_corpus):
-    r = query_similarity(query_for(three_button_corpus.get("b")), three_button_corpus, P1)
-    assert r.e_count == 2
-    assert r.a_ids == ("myBut",)
+    assert similarity_of(query_for(three_button_corpus.get("b")), three_button_corpus, P1) == (
+        2, ("myBut",))
 
 
 def test_similarity_of_singleton(two_usage_corpus):
-    r = query_similarity(query_for(two_usage_corpus.get("t")), two_usage_corpus, P1)
-    assert r.e_count == 1
-    assert r.a_ids == ()
+    assert similarity_of(query_for(two_usage_corpus.get("t")), two_usage_corpus, P1) == (1, ())
 
 
 def test_k_must_be_positive():
@@ -100,8 +97,8 @@ def test_anti_symmetry_k1(three_button_corpus):
 
 
 def test_e_equivalent_usages_get_identical_results(three_button_corpus):
-    rb = query_similarity(query_for(three_button_corpus.get("b")), three_button_corpus, P1)
-    ra = query_similarity(query_for(three_button_corpus.get("aBut")), three_button_corpus, P1)
+    rb = similarity_of(query_for(three_button_corpus.get("b")), three_button_corpus, P1)
+    ra = similarity_of(query_for(three_button_corpus.get("aBut")), three_button_corpus, P1)
     assert rb == ra
 
 
@@ -114,7 +111,7 @@ def test_index_matches_oracle_on_random_corpora(seed):
             p = SimilarityParams(k=k, use_context=use_context)
             oracle = brute_force_oracle(corpus, p)
             for u in corpus:
-                assert query_similarity(query_for(corpus.get(u.id)), corpus, p) == oracle[u.id]
+                assert similarity_of(query_for(corpus.get(u.id)), corpus, p) == oracle[u.id]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -182,7 +179,25 @@ def hot_corpus_and_queries(draw):
     return corpus, asked
 
 
+# Leave-one-out goes by bucket identity. The query is T/c0() {a}; u1-u3 are
+# its bucket, v1/v2 share its type in another context and w1/w2 have another
+# type. Each exclude_id is asked with and without context.
+EXCLUDE_CORPUS = Corpus([usage("u1", "T", "c0()", "ab"), usage("u2", "T", "c0()", "a"),
+                         usage("u3", "T", "c0()", "ab"), usage("v1", "T", "c1()", "a"),
+                         usage("v2", "T", "c1()", "ab"), usage("w1", "S", "c0()", "a"),
+                         usage("w2", "S", "c0()", "ab")])
+
+
+def excluding(uid):
+    q = Query("T", "c0()", frozenset("a"), exclude_id=uid)
+    return EXCLUDE_CORPUS, [(q, SimilarityParams(use_context=c)) for c in (False, True)]
+
+
 @given(hot_corpus_and_queries())
+@example(excluding("v1"))  # same call-set, other context: |E| 3 -> 2 without context, 2 with
+@example(excluding("v2"))  # an A member in another context: A [u1 u3 v2] -> [u1 u3], [u1 u3]
+@example(excluding("w1"))  # another type, same call-set: nothing changes
+@example(excluding("w2"))  # another type, a superset: nothing changes
 @settings(max_examples=60, deadline=None)
 def test_external_queries_match_oracle_on_hot_buckets(case):
     corpus, asked = case
@@ -201,7 +216,7 @@ def test_callset_index_size_does_not_grow_with_the_bucket(use_context):
         rng = random.Random(n)
         corpus = Corpus([usage(f"u{i}", "T", "c()", rng.sample(HOT_VOCAB, rng.randint(0, 7)))
                          for i in range(n)])
-        _, by_set, masks, where = corpus.callset_index("T", "c()", use_context)
+        _, by_set, masks = corpus.callset_index("T", "c()", use_context)
         calls = set().union(*by_set)
         assert len(masks) <= len(calls) + len({len(c) for c in by_set}) <= len(HOT_VOCAB) + 8
-        assert sorted(i for at in by_set.values() for i in at) == list(range(n)) == sorted(where.values())
+        assert sorted(i for at in by_set.values() for i in at) == list(range(n))
