@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus counts and score distribution (CSV)")
     p.add_argument("corpus")
     _add_similarity_flags(p)
-    p.add_argument("--hist-width", type=_flag(as_bin_width), default="0.05", help="histogram bin width")
+    p.add_argument("--hist-width", type=_flag(as_bin_width), default="0.05", help="histogram bin width, 1e-6 to 1")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("score", help="ranked deviance warnings with recommendations")

@@ -88,23 +88,25 @@ class Corpus:
 
     def callset_index(self, type_name: str, context: str,
                       use_context: bool = True) -> tuple[list[TypeUsage], dict, dict]:
-        """``bucket`` and its call-set index, as (bucket, by_set, masks):
-        by_set maps each call-set to its positions in the bucket, ascending;
-        masks maps each call and each call-set size to an int whose bit i is
-        set when position i has it. Made for every bucket at the first call in
-        each mode. It holds no ids: a query's ``exclude_id`` is looked up in
-        ``by_id``."""
+        """``bucket`` and its call-set index (bucket, by_set, masks), whose
+        values are ints with bit i set for bucket positions i: by_set maps a
+        call-set to the positions holding exactly it, masks a call to those
+        having it and a size s >= 1 to those with at least s calls. Made for
+        every bucket at the first call in each mode. It holds no ids: a
+        query's ``exclude_id`` is looked up in ``by_id``."""
         index = self._callsets.get(use_context)
         if index is None:
             index = self._callsets[use_context] = {}
             for key, usages in (self.bucket_index if use_context else self.type_index).items():
-                by_set, masks = {}, {}
+                by_set, masks, sizes = {}, {}, {}
                 for i, u in enumerate(usages):
-                    by_set.setdefault(u.calls, []).append(i)
-                for calls, at in by_set.items():
-                    bits = sum(1 << i for i in at)
-                    for m in (*calls, len(calls)):
+                    by_set[u.calls] = by_set.get(u.calls, 0) | 1 << i
+                for calls, bits in by_set.items():
+                    sizes[len(calls)] = sizes.get(len(calls), 0) | bits
+                    for m in calls:
                         masks[m] = masks.get(m, 0) | bits
+                for s in range(max(sizes), 0, -1):  # at least s calls: size s or larger
+                    masks[s] = masks.get(s + 1, 0) | sizes.get(s, 0)
                 index[key] = (usages, by_set, masks)
         return index.get(self.bucket_key(type_name, context, use_context), _NO_BUCKET)
 

@@ -214,12 +214,11 @@ def gen_synthetic(spec: SyntheticSpec, rng_seed: int) -> tuple[Corpus, list[tupl
     """Deterministic planted corpus plus the ground-truth list of
     (deviant id, dropped call)."""
     rng = random.Random(rng_seed)
-    vocab = [f"m{i}" for i in range(spec.method_vocab)]
     usages: list[TypeUsage] = []
     truth: list[tuple[str, str]] = []
     uid = 0
     for b in range(spec.n_buckets):
-        convention = sorted(rng.sample(vocab, spec.convention_size))
+        convention = sorted(f"m{i}" for i in rng.sample(range(spec.method_vocab), spec.convention_size))
         type_name = f"T{b}"
         context = f"Ctx{b}.m()"
         for _ in range(spec.usages_per_bucket):

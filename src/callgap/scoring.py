@@ -18,6 +18,8 @@ from itertools import accumulate
 from .corpus import Corpus
 from .similarity import SimilarityParams, almost_similar, exactly_similar, query_for
 
+MAX_BINS = 1_000_000  # histogram bins; a finer width would only fill memory
+
 
 @dataclass(frozen=True)
 class ScoredUsage:
@@ -124,10 +126,10 @@ def as_fraction(value) -> Fraction:
 
 
 def as_bin_width(value) -> Fraction:
-    """Exact histogram bin width; ValueError unless it is in (0, 1]."""
+    """Exact histogram bin width; ValueError unless it is in [1/MAX_BINS, 1]."""
     w = as_fraction(value)
-    if not 0 < w <= 1:
-        raise ValueError(f"bin width must be in (0, 1], got {w}")
+    if not Fraction(1, MAX_BINS) <= w <= 1:
+        raise ValueError(f"bin width must be in [1/{MAX_BINS}, 1], got {w}")
     return w
 
 

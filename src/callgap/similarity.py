@@ -6,9 +6,8 @@ contains x's, and it has between 1 and k extra calls (k=1 by default). Both
 relations can be relaxed to drop the context-equality condition (type equality
 always remains); that mode matches over every usage of the type instead of the
 (type, context) bucket. Both read ``Corpus.callset_index``: |E(x)| is the
-number of bucket positions holding x's call-set, and A(x) is the set bits of
-the |x|+1..|x|+k size masks ANDed with the mask of each call of x, read from
-low to high, which is corpus order.
+popcount of x's call-set mask, and A(x) is the bucket positions with |x|+1 to
+|x|+k calls that have every call of x, read from low to high (corpus order).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def exactly_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> int:
     bucket, by_set, _ = corpus.callset_index(q.type_name, q.context, p.use_context)
     calls = frozenset(q.calls)
     x = corpus.by_id.get(q.exclude_id)
-    return 1 + len(by_set.get(calls, ())) - (
+    return 1 + by_set.get(calls, 0).bit_count() - (
         x is not None and x.calls == calls
         and corpus.bucket(x.type_name, x.context, p.use_context) is bucket)
 
@@ -61,11 +60,7 @@ def almost_similar(q: Query, corpus: Corpus, p: SimilarityParams) -> list[str]:
     1..k extra calls, in corpus order."""
     bucket, _, masks = corpus.callset_index(q.type_name, q.context, p.use_context)
     n = len(q.calls)
-    hits = 0
-    # No call-set has more calls than its bucket has distinct calls, and masks
-    # holds one entry per distinct call, so a k past len(masks) adds no size.
-    for size in range(n + 1, n + min(p.k, len(masks)) + 1):
-        hits |= masks.get(size, 0)
+    hits = masks.get(n + 1, 0) & ~masks.get(n + p.k + 1, 0)
     for m in q.calls:
         if not hits:
             return []

@@ -374,6 +374,7 @@ def test_commands_byte_identical_across_runs(sandra_file, argv_builder):
         ["score", "--k", "0"],
         ["score", "--top", "-1"],
         ["stats", "--hist-width", "0"],
+        ["stats", "--hist-width", "1e-15"],
         ["eval", "--sweep-k", "0"],
         ["eval", "--sweep-t", "2"],
         ["eval", "--sweep-t", "0.5", "--sweep-k", "1,2"],

@@ -221,6 +221,12 @@ def test_gen_synthetic_validation():
         SyntheticSpec(n_buckets=1, usages_per_bucket=1, convention_size=9, method_vocab=5)
 
 
+def test_gen_synthetic_samples_a_huge_vocabulary_without_building_it():
+    corpus, _ = gen_synthetic(SyntheticSpec(n_buckets=2, usages_per_bucket=3, convention_size=4,
+                                            method_vocab=10**12), rng_seed=1)
+    assert len(corpus) == 6 and all(len(u.calls) == 4 for u in corpus)
+
+
 def test_brute_force_oracle_cap():
     corpus = unanimous_corpus(n=5)
     with pytest.raises(ValueError):

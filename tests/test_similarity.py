@@ -1,5 +1,7 @@
 """Exact- and almost-similarity relations, index vs brute-force oracle."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -106,7 +108,7 @@ def test_e_equivalent_usages_get_identical_results(three_button_corpus):
 def test_index_matches_oracle_on_random_corpora(seed):
     rng = random.Random(seed)
     corpus = random_corpus(rng, max_usages=60)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 10**12):
         for use_context in (True, False):
             p = SimilarityParams(k=k, use_context=use_context)
             oracle = brute_force_oracle(corpus, p)
@@ -150,7 +152,8 @@ HOT_CALLS = st.frozensets(st.sampled_from(HOT_VOCAB), max_size=7)
 def hot_corpus_and_queries(draw):
     """1-2 buckets of up to 200 usages over a vocabulary of 8 calls (the
     buckets may share a type, so --no-context merges them), then external
-    queries asked in a drawn order at k 1..3, with and without context."""
+    queries asked in a drawn order at k 1..3 or 10**12, past every call-set,
+    with and without context."""
     keys = draw(st.lists(st.tuples(st.sampled_from(["T0", "T1"]), st.sampled_from(["c0()", "c1()"])),
                          min_size=1, max_size=2, unique=True))
     usages = []
@@ -174,7 +177,7 @@ def hot_corpus_and_queries(draw):
                 "other calls": [y.id for y in bucket if y.calls != calls],
                 "other bucket": [y.id for y in corpus if (y.type_name, y.context) != (t, c)]}[kind]
         exclude_id = draw(st.sampled_from(pool)) if pool else None
-        p = SimilarityParams(k=draw(st.integers(1, 3)), use_context=draw(st.booleans()))
+        p = SimilarityParams(k=draw(st.integers(1, 3) | st.just(10**12)), use_context=draw(st.booleans()))
         asked.append((Query(t, c, calls, exclude_id), p))
     return corpus, asked
 
@@ -209,14 +212,17 @@ def test_external_queries_match_oracle_on_hot_buckets(case):
 
 @pytest.mark.parametrize("use_context", [True, False])
 def test_callset_index_size_does_not_grow_with_the_bucket(use_context):
-    # a hot bucket of n, 2n and 4n usages over a fixed 8-call vocabulary: the
-    # masks stay at most one per distinct call plus one per distinct size, and
-    # by_set holds each bucket position exactly once
+    # a hot bucket of n, 2n and 4n usages over a fixed 8-call vocabulary:
+    # by_set partitions the bucket's positions, the size masks nest, and there
+    # is at most one mask per distinct call plus one per size up to the largest
     for n in (150, 300, 600):
         rng = random.Random(n)
         corpus = Corpus([usage(f"u{i}", "T", "c()", rng.sample(HOT_VOCAB, rng.randint(0, 7)))
                          for i in range(n)])
         _, by_set, masks = corpus.callset_index("T", "c()", use_context)
-        calls = set().union(*by_set)
-        assert len(masks) <= len(calls) + len({len(c) for c in by_set}) <= len(HOT_VOCAB) + 8
-        assert sorted(i for at in by_set.values() for i in at) == list(range(n))
+        assert functools.reduce(operator.or_, by_set.values()) == (1 << n) - 1
+        assert sum(bits.bit_count() for bits in by_set.values()) == n
+        assert all(type(bits) is int for bits in masks.values())
+        largest = max(map(len, by_set))
+        assert all(masks[s + 1] & ~masks[s] == 0 for s in range(1, largest))
+        assert len(masks) <= len(set().union(*by_set)) + largest <= len(HOT_VOCAB) + 7

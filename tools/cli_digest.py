@@ -6,7 +6,7 @@ its exit code and the sha256 of its stdout.
 
 callgap is imported from CHECKOUT/src (default: the checkout holding this
 script), and every command runs in-process through ``callgap.cli.main``. The
-264 commands are 12 shapes, which use every subcommand but ``gen`` and every
+286 commands are 13 shapes, which use every subcommand but ``gen`` and every
 flag, each run with and without ``--no-context`` on 11 corpora: the
 acceptance suite's criterion-7 corpus and one 300-usage bucket that follows
 a convention, the paper's majority-rule shape (both made with ``callgap
@@ -71,7 +71,7 @@ def messy(jsonl: bool) -> str:
 
 
 def shapes(corpus, first) -> list[list[str]]:
-    """The 12 command shapes on ``corpus``; predict asks about ``first``, the
+    """The 13 command shapes on ``corpus``; predict asks about ``first``, the
     corpus's first usage, with its last call (in name order) removed."""
     predict = ["predict", corpus, "--type", first.type_name, "--context", first.context,
                "--calls", ",".join(sorted(first.calls)[:-1])]
@@ -80,6 +80,7 @@ def shapes(corpus, first) -> list[list[str]]:
         ["score", corpus, "--top", "40", "--min-score", "0.05"],
         ["score", corpus, "--format", "human"],
         ["score", corpus, "--k", "2", "--ge", "-t", "0.5"],
+        ["score", corpus, "--k", "1000000000000"],
         predict,
         [*predict, "--k", "3", "--threshold", "0.5", "--ge"],
         ["eval", corpus],
